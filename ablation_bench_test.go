@@ -12,7 +12,7 @@ import (
 )
 
 // Ablation benches isolate individual design choices the architecture
-// depends on (complementing the experiment suite E1–E12, which measures
+// depends on (complementing the E-series in bench_test.go, which measures
 // end-to-end claims).
 
 // AblationIndex: the row store's skip list vs a B+-tree vs a hash index
@@ -178,12 +178,14 @@ func BenchmarkAblation_MergeCost(b *testing.B) {
 	}
 }
 
-// AblationWALGroupCommit: per-record sync vs group commit — the WAL
-// design that keeps OLTP latency low under durability.
+// AblationWALGroupCommit: per-record vs batched log appends — the WAL
+// design that keeps OLTP latency low under durability. The log runs in
+// SyncAsync so the ablation isolates append cost from fsync latency
+// (E15 measures the fsync side).
 func BenchmarkAblation_WALGroupCommit(b *testing.B) {
 	for _, batch := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("txns-per-commit=%d", batch), func(b *testing.B) {
-			e, err := core.NewEngine(core.Options{WALPath: b.TempDir() + "/w.wal"})
+			e, err := core.NewEngine(core.Options{Dir: b.TempDir(), Sync: core.SyncAsync})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,11 +1,12 @@
-// Package repro's root bench suite regenerates every experiment in
-// EXPERIMENTS.md (E1–E12), one Benchmark family per experiment. Each
-// experiment corresponds to a qualitative claim of the tutorial
-// "Operational Analytics Data Management Systems" (VLDB 2016); see
-// DESIGN.md for the claim-to-benchmark mapping.
+// Package repro's root bench suite holds the in-process E-series
+// microbenchmarks, one Benchmark family per experiment. Each experiment
+// corresponds to a qualitative claim of the tutorial "Operational
+// Analytics Data Management Systems" (VLDB 2016); docs/execution.md
+// maps the families to the engine layers they exercise. The end-to-end
+// scoreboard is benchmark/ (see benchmark/README.md).
 //
-// Run all:    go test -bench=. -benchmem
-// Run one:    go test -bench=E4 -benchmem
+// Run all:    go test -run '^$' -bench=. -benchmem
+// Run one:    go test -run '^$' -bench=E4 -benchmem
 package repro
 
 import (
@@ -25,12 +26,8 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/numa"
-	"repro/internal/scan"
 	"repro/internal/server"
 	"repro/internal/storage/colstore"
-	"repro/internal/storage/delta"
-	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -459,70 +456,11 @@ func BenchmarkE5_ReadersUnderWrites(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// E6 — Shared (clock) scans amortize bandwidth across concurrent
-// queries. (Tutorial §4: QPipe [12], Crescando clock scan [39].)
+// E6 — Morsel-parallel segment scan: one query fanned over a worker
+// pool (zones dealt by an atomic cursor into per-worker batch pools).
 // ---------------------------------------------------------------------
 
-func e6Chunks() scan.SliceSource {
-	s := types.MustSchema([]types.Column{{Name: "v", Type: types.Int64}})
-	var out []*types.Batch
-	for c := 0; c < 64; c++ {
-		batch := types.NewBatch(s, 4096)
-		for r := 0; r < 4096; r++ {
-			batch.AppendRow(types.Row{types.NewInt(int64(c*4096 + r))})
-		}
-		out = append(out, batch)
-	}
-	return out
-}
-
-func consume(batch *types.Batch, acc *int64) {
-	var local int64
-	for _, v := range batch.Cols[0].Ints {
-		local += v
-	}
-	atomic.AddInt64(acc, local)
-}
-
 func BenchmarkE6_Scans(b *testing.B) {
-	src := e6Chunks()
-	for _, q := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("shared/queries=%d", q), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cs := scan.NewClockScan(src)
-				var acc int64
-				var wg sync.WaitGroup
-				for k := 0; k < q; k++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						cs.Attach(func(batch *types.Batch) { consume(batch, &acc) }).Wait()
-					}()
-				}
-				wg.Wait()
-			}
-			b.ReportMetric(float64(q)/b.Elapsed().Seconds()*float64(b.N), "queries/s")
-		})
-		b.Run(fmt.Sprintf("independent/queries=%d", q), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var acc int64
-				var wg sync.WaitGroup
-				for k := 0; k < q; k++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for c := 0; c < src.NumChunks(); c++ {
-							consume(src.Chunk(c), &acc)
-						}
-					}()
-				}
-				wg.Wait()
-			}
-			b.ReportMetric(float64(q)/b.Elapsed().Seconds()*float64(b.N), "queries/s")
-		})
-	}
-	// Morsel-parallel segment scan: one query fanned over a worker pool
-	// (zones dealt by an atomic cursor into per-worker batch pools).
 	// Scaling to 4 workers is the ScanParallel scoreboard.
 	seg := e6Segment()
 	for _, workers := range []int{1, 2, 4} {
@@ -550,8 +488,7 @@ func BenchmarkE6_Scans(b *testing.B) {
 	}
 }
 
-// e6Segment builds a 256-zone column segment for the parallel-scan half
-// of E6.
+// e6Segment builds a 256-zone column segment for E6.
 func e6Segment() *colstore.Segment {
 	schema := types.MustSchema([]types.Column{
 		{Name: "id", Type: types.Int64}, {Name: "v", Type: types.Int64},
@@ -562,117 +499,6 @@ func e6Segment() *colstore.Segment {
 		bld.Add(types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 4096))})
 	}
 	return bld.Build()
-}
-
-// ---------------------------------------------------------------------
-// E7 — NUMA-aware placement beats NUMA-oblivious placement on the
-// simulated topology. (Tutorial §1: [23,31].)
-// ---------------------------------------------------------------------
-
-func BenchmarkE7_NUMAPlacement(b *testing.B) {
-	const nodes, nparts, accessesPerPart = 4, 16, 1 << 16
-	topo := numa.NewTopology(nodes, 2.0)
-	for _, policy := range []numa.Placement{numa.PlaceLocal, numa.PlaceInterleave, numa.PlaceRemoteWorst} {
-		b.Run(policy.String(), func(b *testing.B) {
-			var completion float64
-			for i := 0; i < b.N; i++ {
-				var m numa.Meter
-				var wg sync.WaitGroup
-				for part := 0; part < nparts; part++ {
-					wg.Add(1)
-					go func(part int) {
-						defer wg.Done()
-						w := numa.WorkerNode(part, nparts, nodes)
-						home := numa.Place(policy, part, nparts, nodes)
-						m.Charge(topo, w, numa.Region{Home: home, Len: accessesPerPart}, accessesPerPart)
-					}(part)
-				}
-				wg.Wait()
-				completion = m.CompletionTime(nodes)
-			}
-			b.ReportMetric(completion, "completion-cost")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------
-// E8 — Scale-out: ingest and scan throughput vs cluster size with
-// Raft-replicated tablets. (Tutorial §3: Kudu [24], DBIM distributed
-// [27].) Run separately: benches with real consensus take seconds.
-// ---------------------------------------------------------------------
-
-func BenchmarkE8_ClusterIngest(b *testing.B) {
-	// Import cycle avoidance: cluster imported lazily here.
-	for _, nodes := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			benchClusterIngest(b, nodes)
-		})
-	}
-}
-
-// ---------------------------------------------------------------------
-// E9 — H-Store-style pre-partitioned serial execution: wins when
-// transactions are partition-local, collapses with cross-partition
-// transactions. (Tutorial §4: [38].)
-// ---------------------------------------------------------------------
-
-func BenchmarkE9_HStore(b *testing.B) {
-	const parts = 8
-	for _, crossPct := range []int{0, 5, 20, 50} {
-		b.Run(fmt.Sprintf("hstore/cross=%d%%", crossPct), func(b *testing.B) {
-			ex := txn.NewPartitionedExecutor(parts)
-			defer ex.Close()
-			counters := make([]int64, parts)
-			rng := rand.New(rand.NewSource(9))
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				lrng := rand.New(rand.NewSource(rng.Int63()))
-				for pb.Next() {
-					p1 := lrng.Intn(parts)
-					if lrng.Intn(100) < crossPct {
-						p2 := (p1 + 1 + lrng.Intn(parts-1)) % parts
-						ex.Run([]int{p1, p2}, func() {
-							counters[p1]++
-							counters[p2]++
-						})
-					} else {
-						ex.Run([]int{p1}, func() { counters[p1]++ })
-					}
-				}
-			})
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "txn/s")
-		})
-	}
-	// MVCC baseline: same counter workload through the MVCC engine.
-	b.Run("mvcc-baseline", func(b *testing.B) {
-		e, _ := core.NewEngine(core.Options{})
-		defer e.Close()
-		schema := wideSchema(2)
-		e.CreateTable("t", schema)
-		tx := e.Begin()
-		for i := 0; i < parts; i++ {
-			tx.Insert("t", wideRow(schema, int64(i)))
-		}
-		tx.Commit()
-		rng := rand.New(rand.NewSource(10))
-		var mu sync.Mutex
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			mu.Lock()
-			lrng := rand.New(rand.NewSource(rng.Int63()))
-			mu.Unlock()
-			for pb.Next() {
-				id := int64(lrng.Intn(parts))
-				wtx := e.Begin()
-				if err := wtx.Update("t", types.Row{types.NewInt(id)}, wideRow(schema, id)); err != nil {
-					wtx.Abort()
-					continue
-				}
-				wtx.Commit()
-			}
-		})
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "txn/s")
-	})
 }
 
 // ---------------------------------------------------------------------
@@ -1142,54 +968,6 @@ func BenchmarkE11_ZoneMapPruning(b *testing.B) {
 				stats = seg.Scan(100, 0, []int{0}, preds, func(batch *types.Batch) bool { return true })
 			}
 			b.ReportMetric(100*float64(stats.ZonesPruned)/float64(stats.ZonesTotal), "pruned%")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------
-// E12 — COW snapshots: creation is O(1); total cost scales with pages
-// dirtied afterwards, not database size. (Tutorial §4: HyPer [19].)
-// ---------------------------------------------------------------------
-
-func BenchmarkE12_SnapshotCreate(b *testing.B) {
-	for _, n := range []int{10_000, 100_000, 1_000_000} {
-		b.Run(fmt.Sprintf("dbsize=%d", n), func(b *testing.B) {
-			ps := delta.NewPageStore()
-			for i := 0; i < n; i++ {
-				ps.Append(types.Row{types.NewInt(int64(i))})
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = ps.Snapshot()
-			}
-		})
-	}
-}
-
-func BenchmarkE12_WritesUnderSnapshot(b *testing.B) {
-	const n = 256 * delta.PageSize
-	for _, dirtyPct := range []int{1, 10, 50, 100} {
-		b.Run(fmt.Sprintf("dirty=%d%%", dirtyPct), func(b *testing.B) {
-			var copies uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				ps := delta.NewPageStore()
-				for j := 0; j < n; j++ {
-					ps.Append(types.Row{types.NewInt(int64(j))})
-				}
-				before := ps.Copies()
-				snap := ps.Snapshot()
-				writes := n * dirtyPct / 100
-				b.StartTimer()
-				for wi := 0; wi < writes; wi++ {
-					ps.Update(wi, types.Row{types.NewInt(int64(-wi))})
-				}
-				b.StopTimer()
-				copies = ps.Copies() - before
-				_ = snap
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(copies), "pages-copied")
 		})
 	}
 }

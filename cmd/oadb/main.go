@@ -41,7 +41,6 @@ import (
 func main() {
 	dir := flag.String("dir", "", "durable data directory (segmented WAL + checkpoints; reopening recovers)")
 	syncMode := flag.String("sync", "group", "commit durability with -dir: group, sync, async, or each")
-	walPath := flag.String("wal", "", "enable legacy single-file write-ahead logging to this file")
 	mode := flag.String("mode", "mvcc", "concurrency mode: mvcc or 2pl")
 	demo := flag.Bool("demo", false, "pre-load the CH-benCHmark demo dataset")
 	connect := flag.String("connect", "", "connect to an oadbd server at host:port instead of embedding the engine")
@@ -51,7 +50,7 @@ func main() {
 		os.Exit(runRemote(*connect))
 	}
 
-	opts := db.Options{Dir: *dir, WALPath: *walPath}
+	opts := db.Options{Dir: *dir}
 	if strings.EqualFold(*mode, "2pl") {
 		opts.Mode = db.TwoPL
 	}

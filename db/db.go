@@ -87,11 +87,6 @@ type Options struct {
 	// WALSegmentSize is the WAL segment rotation threshold for Dir
 	// (default 16 MiB).
 	WALSegmentSize int64
-	// WALPath, when set, enables legacy single-file write-ahead logging
-	// to this file. Superseded by Dir.
-	WALPath string
-	// WALSync forces an fsync per commit (legacy WALPath logging only).
-	WALSync bool
 	// MergeThreshold is the delta live-row count that triggers an
 	// automatic merge (default 64k rows).
 	MergeThreshold int
@@ -143,8 +138,6 @@ func Open(opts Options) (*DB, error) {
 		Sync:              opts.Sync,
 		GroupCommitWindow: opts.GroupCommitWindow,
 		WALSegmentSize:    opts.WALSegmentSize,
-		WALPath:           opts.WALPath,
-		WALSync:           opts.WALSync,
 		MergeThreshold:    opts.MergeThreshold,
 		Parallelism:       opts.Parallelism,
 	})

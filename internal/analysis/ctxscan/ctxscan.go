@@ -13,10 +13,10 @@
 //     lifecycles owned by Close) are annotated //oadb:allow-ctxscan.
 //
 //  2. An exported function in a scan-path package (internal/exec,
-//     internal/scan, internal/storage/colstore, internal/core,
-//     internal/sql) that spawns goroutines must accept a
-//     context.Context: worker goroutines without a context cannot be
-//     cancelled and leak on abandoned queries.
+//     internal/storage/colstore, internal/core, internal/sql) that
+//     spawns goroutines must accept a context.Context: worker
+//     goroutines without a context cannot be cancelled and leak on
+//     abandoned queries.
 package ctxscan
 
 import (
@@ -38,7 +38,6 @@ var Analyzer = &analysis.Analyzer{
 // goroutine-spawning functions must take a context.
 var scanPathPkgs = []string{
 	"internal/exec",
-	"internal/scan",
 	"internal/storage/colstore",
 	"internal/core",
 	"internal/sql",

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -220,11 +221,35 @@ func TestQueriesEquivalentAcrossMerge(t *testing.T) {
 			t.Fatalf("Q%d rows changed across merge: %d vs %d", q.ID, len(pre[q.ID]), len(rows))
 		}
 		for i := range rows {
-			if types.CompareKeys(rows[i], pre[q.ID][i]) != 0 {
+			if !sameAcrossMerge(rows[i], pre[q.ID][i]) {
 				t.Fatalf("Q%d row %d changed across merge:\n pre: %v\npost: %v", q.ID, i, pre[q.ID][i], rows[i])
 			}
 		}
 	}
+}
+
+// sameAcrossMerge compares two result rows: non-NULL floats to 1e-9
+// relative, since a float SUM/AVG depends on the order its parallel
+// partials combine in and a merge changes how rows split into morsels;
+// NULLs and every other type compare exactly. ROADMAP item 4(a) (float
+// aggregates independent of worker count) restores exact equality.
+func sameAcrossMerge(a, b types.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if !x.Null && !y.Null && x.Typ == types.Float64 && y.Typ == types.Float64 {
+			if x.F != y.F && math.Abs(x.F-y.F) > 1e-9*math.Max(math.Abs(x.F), math.Abs(y.F)) {
+				return false
+			}
+			continue
+		}
+		if types.Compare(x, y) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func TestMetricsWorkload(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -594,48 +593,6 @@ func TestEngine2PLMode(t *testing.T) {
 		t.Fatalf("post-release read: %v %v", ok, err)
 	}
 	t3.Abort()
-}
-
-func TestWALRecovery(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "engine.wal")
-	e, err := NewEngine(Options{WALPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.CreateTable("items", testSchema())
-	mustExec(t, e, func(tx *Tx) error { return tx.Insert("items", row(1, "a", 1)) })
-	mustExec(t, e, func(tx *Tx) error { return tx.Insert("items", row(2, "b", 2)) })
-	mustExec(t, e, func(tx *Tx) error { return tx.Update("items", key(1), row(1, "a", 11)) })
-	mustExec(t, e, func(tx *Tx) error { return tx.Delete("items", key(2)) })
-	// An aborted transaction leaves no trace.
-	tx := e.Begin()
-	tx.Insert("items", row(3, "c", 3))
-	tx.Abort()
-	e.Close()
-
-	// "Restart": rebuild an engine by replaying the log.
-	e2, err := NewEngine(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	e2.CreateTable("items", testSchema())
-	if err := e2.Recover(path); err != nil {
-		t.Fatal(err)
-	}
-	tx2 := e2.Begin()
-	defer tx2.Abort()
-	got, ok, _ := tx2.Get("items", key(1))
-	if !ok || got[2].I != 11 {
-		t.Fatalf("recovered row 1 = %v %v", got, ok)
-	}
-	if _, ok, _ := tx2.Get("items", key(2)); ok {
-		t.Fatal("deleted row recovered")
-	}
-	if _, ok, _ := tx2.Get("items", key(3)); ok {
-		t.Fatal("aborted row recovered")
-	}
 }
 
 func TestMergeEmptyDelta(t *testing.T) {

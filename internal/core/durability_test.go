@@ -56,6 +56,14 @@ func TestDirRoundTrip(t *testing.T) {
 	})
 	mustExec(t, e, func(tx *Tx) error { return tx.Update("items", key(3), row(3, "a", 333)) })
 	mustExec(t, e, func(tx *Tx) error { return tx.Delete("items", key(7)) })
+	// An aborted transaction leaves no trace.
+	tx := e.Begin()
+	if err := tx.Insert("items", row(50, "c", 50)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +81,9 @@ func TestDirRoundTrip(t *testing.T) {
 	}
 	if _, ok := got[7]; ok {
 		t.Fatal("delete lost: id 7 still present")
+	}
+	if _, ok := got[50]; ok {
+		t.Fatal("aborted insert recovered")
 	}
 	// And the recovered engine accepts new writes.
 	mustExec(t, e2, func(tx *Tx) error { return tx.Insert("items", row(100, "b", 1)) })
@@ -163,52 +174,73 @@ func TestDirCheckpointTruncatesAndRecovers(t *testing.T) {
 	mustExec(t, e2, func(tx *Tx) error { return tx.Insert("items", row(200, "c", 1)) })
 }
 
-// TestRecoverLegacyAtomicGrouping: a legacy WAL transaction's records
-// are applied through one engine transaction, and transactions with no
-// COMMIT record are discarded wholesale.
-func TestRecoverLegacyAtomicGrouping(t *testing.T) {
-	path := t.TempDir() + "/wal.log"
-	w, err := wal.Create(path, wal.Options{})
+// writeDirLog appends each group to a fresh segmented log in dir, as a
+// crashed engine would have left it, for NewEngine to recover.
+func writeDirLog(t *testing.T, dir string, groups ...[]wal.Record) {
+	t.Helper()
+	l, err := wal.OpenLog(dir, wal.LogOptions{Mode: SyncSync})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Txn 1: two inserts + commit. Txn 2: one insert, no commit (crash).
-	w.Append(
-		wal.Record{TxnID: 1, Kind: wal.KindInsert, Table: "items", Row: row(1, "a", 1)},
-		wal.Record{TxnID: 1, Kind: wal.KindInsert, Table: "items", Row: row(2, "a", 2)},
-		wal.Record{TxnID: 1, Kind: wal.KindCommit},
-		wal.Record{TxnID: 2, Kind: wal.KindInsert, Table: "items", Row: row(3, "a", 3)},
-	)
-	w.Close()
-
-	e, _ := NewEngine(Options{})
-	defer e.Close()
-	if _, err := e.CreateTable("items", testSchema()); err != nil {
-		t.Fatal(err)
+	for _, g := range groups {
+		if _, err := l.Append(g...); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := e.Recover(path); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
-	}
-	got := scanIDs(t, e, "items")
-	if len(got) != 2 {
-		t.Fatalf("recovered %d rows, want 2 (txn 2 had no COMMIT): %v", len(got), got)
 	}
 }
 
-// TestRecoverLegacyUnknownTable: a record against a missing table is a
-// structured error, not a silent skip.
-func TestRecoverLegacyUnknownTable(t *testing.T) {
-	path := t.TempDir() + "/wal.log"
-	w, _ := wal.Create(path, wal.Options{})
-	w.Append(
-		wal.Record{TxnID: 1, Kind: wal.KindInsert, Table: "ghost", Row: row(1, "a", 1)},
-		wal.Record{TxnID: 1, Kind: wal.KindCommit},
+// TestDirRecoverAtomicGrouping: each logged transaction's records are
+// applied through its own engine transaction at its COMMIT record, even
+// when other transactions' records interleave with them, and
+// transactions that aborted or have no COMMIT record are discarded
+// wholesale.
+func TestDirRecoverAtomicGrouping(t *testing.T) {
+	dir := t.TempDir()
+	create := wal.Record{Kind: wal.KindCreateTable, Table: "items", Row: wal.SchemaToRow(testSchema())}
+	ins := func(txn uint64, id int64) wal.Record {
+		return wal.Record{TxnID: txn, Kind: wal.KindInsert, Table: "items", Row: row(id, "a", id)}
+	}
+	// Txns 1 and 4 commit with their records interleaved; txn 2 aborts
+	// and txn 3 has no COMMIT (in flight at the crash).
+	writeDirLog(t, dir,
+		[]wal.Record{create},
+		[]wal.Record{ins(1, 1), ins(2, 10), ins(4, 40)},
+		[]wal.Record{ins(1, 2), ins(3, 20)},
+		[]wal.Record{{TxnID: 2, Kind: wal.KindAbort}},
+		[]wal.Record{{TxnID: 1, Kind: wal.KindCommit}},
+		[]wal.Record{ins(3, 21), ins(4, 41)},
+		[]wal.Record{{TxnID: 4, Kind: wal.KindCommit}},
 	)
-	w.Close()
-
-	e, _ := NewEngine(Options{})
+	e := openDirEngine(t, dir, Options{Sync: SyncSync})
 	defer e.Close()
-	err := e.Recover(path)
+	got := scanIDs(t, e, "items")
+	want := []int64{1, 2, 40, 41}
+	if len(got) != len(want) {
+		t.Fatalf("recovered %v, want exactly rows %v of txns 1 and 4", got, want)
+	}
+	for _, id := range want {
+		if got[id] != id {
+			t.Fatalf("recovered %v, want exactly rows %v of txns 1 and 4", got, want)
+		}
+	}
+}
+
+// TestDirRecoverUnknownTable: a record against a table with no CREATE
+// TABLE record is a structured recovery error, not a silent skip.
+func TestDirRecoverUnknownTable(t *testing.T) {
+	dir := t.TempDir()
+	writeDirLog(t, dir, []wal.Record{
+		{TxnID: 1, Kind: wal.KindInsert, Table: "ghost", Row: row(1, "a", 1)},
+		{TxnID: 1, Kind: wal.KindCommit},
+	})
+	e, err := NewEngine(Options{Dir: dir, Sync: SyncSync})
+	if err == nil {
+		e.Close()
+		t.Fatal("NewEngine recovered a log that writes to a missing table")
+	}
 	if !errors.Is(err, ErrRecoverUnknownTable) {
 		t.Fatalf("want ErrRecoverUnknownTable, got %v", err)
 	}
@@ -218,39 +250,6 @@ func TestRecoverLegacyUnknownTable(t *testing.T) {
 	}
 	if re.Table != "ghost" || re.TxnID != 1 {
 		t.Fatalf("RecoverError fields: %+v", re)
-	}
-}
-
-// TestRecoverLegacyNoReappend: recovering into an engine that has a
-// live legacy WAL must not re-log the replayed records.
-func TestRecoverLegacyNoReappend(t *testing.T) {
-	dir := t.TempDir()
-	src := dir + "/src.log"
-	w, _ := wal.Create(src, wal.Options{})
-	w.Append(
-		wal.Record{TxnID: 1, Kind: wal.KindInsert, Table: "items", Row: row(1, "a", 1)},
-		wal.Record{TxnID: 1, Kind: wal.KindCommit},
-	)
-	w.Close()
-
-	live := dir + "/live.log"
-	e, err := NewEngine(Options{WALPath: live})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.CreateTable("items", testSchema()); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Recover(src); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	recs, err := wal.ReadAll(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("recovery re-appended %d records to the live WAL", len(recs))
 	}
 }
 
@@ -534,7 +533,8 @@ func TestDirConcurrentCommitCrash(t *testing.T) {
 }
 
 // TestDirGroupCommitAmortizesFsync: 16 concurrent committers through
-// the engine share fsyncs (< 0.2 per commit).
+// the engine share fsyncs (< 0.2 per commit). Under -race the detector's
+// overhead spreads committers out, so the ratio is only logged there.
 func TestDirGroupCommitAmortizesFsync(t *testing.T) {
 	dir := t.TempDir()
 	e := openDirEngine(t, dir, Options{Sync: SyncGroup})
@@ -573,7 +573,7 @@ func TestDirGroupCommitAmortizesFsync(t *testing.T) {
 	syncs := e.Log().Stats().Syncs - startSyncs
 	ratio := float64(syncs) / float64(committers*per)
 	t.Logf("fsyncs=%d commits=%d ratio=%.3f", syncs, committers*per, ratio)
-	if ratio >= 0.2 {
+	if !raceEnabled && ratio >= 0.2 {
 		t.Fatalf("fsyncs/commit = %.3f, want < 0.2", ratio)
 	}
 }

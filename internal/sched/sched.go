@@ -332,6 +332,15 @@ func (m *Manager) abandon(t *task, cause error) error {
 	return nil
 }
 
+// QueueLen returns the number of tasks in class's queue. An abandoned
+// task still counts until a worker pops and skips it.
+func (m *Manager) QueueLen(class Class) int {
+	if class == OLAP {
+		return len(m.olapQ)
+	}
+	return len(m.oltpQ)
+}
+
 // Stats returns a copy of the class's counters.
 func (m *Manager) Stats(class Class) Stats {
 	m.statsMu.Lock()

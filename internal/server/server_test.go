@@ -13,6 +13,7 @@ import (
 
 	"repro/client"
 	"repro/db"
+	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -414,46 +415,44 @@ func TestServerBusyAndQueueTimeout(t *testing.T) {
 	mustExec(t, holder, "BEGIN")
 	mustExec(t, holder, "UPDATE t SET b = 1 WHERE a = 1")
 
-	// blocked occupies the only worker, waiting on holder's lock.
+	// blocked occupies the only worker, waiting on holder's lock. Each
+	// background statement's goroutine owns its connection and closes it
+	// when done, so no Close races a send on the same conn.
 	blocked := dial(t, ts.addr)
-	defer blocked.Close()
 	blockedErr := make(chan error, 1)
 	go func() {
+		defer blocked.Close()
 		_, err := blocked.Exec("UPDATE t SET b = 2 WHERE a = 1")
 		blockedErr <- err
 	}()
 	waitFor(t, 10*time.Second, "worker occupied", func() bool {
-		st := ts.srv.SchedStats(0)
+		st := ts.srv.SchedStats(sched.OLTP)
 		// CREATE + INSERT + holder's UPDATE completed; blocked UPDATE
-		// claimed but stuck on the lock.
-		return st.Submitted == 4 && st.Completed == 3
+		// popped off the queue by the only worker and stuck on the lock.
+		return st.Submitted == 4 && st.Completed == 3 && ts.srv.QueueLen(sched.OLTP) == 0
 	})
-	// The stats flip at enqueue; give the idle worker a beat to claim
-	// the task so the queue slot below is genuinely free.
-	time.Sleep(100 * time.Millisecond)
 
 	// queued waits in the depth-1 OLTP queue until the 300ms queue
-	// timeout abandons it.
+	// timeout abandons it. An abandoned task keeps its slot until a
+	// worker pops it, and the only worker is pinned.
 	queued := dial(t, ts.addr)
-	defer queued.Close()
 	queuedErr := make(chan error, 1)
 	go func() {
+		defer queued.Close()
 		_, err := queued.Exec("UPDATE t SET b = 3 WHERE a = 1")
 		queuedErr <- err
 	}()
+	waitFor(t, 10*time.Second, "queue slot taken", func() bool {
+		return ts.srv.QueueLen(sched.OLTP) == 1
+	})
 
 	// With the worker pinned and the queue slot taken, the next
 	// statement is shed immediately with the structured busy error.
-	waitFor(t, 10*time.Second, "queue slot taken", func() bool {
-		var err error
-		shed := dial(t, ts.addr)
-		defer shed.Close()
-		_, err = shed.Exec("UPDATE t SET b = 4 WHERE a = 1")
-		if err == nil {
-			t.Fatal("update succeeded while lock held and queue full")
-		}
-		return client.IsBusy(err)
-	})
+	shed := dial(t, ts.addr)
+	defer shed.Close()
+	if _, err := shed.Exec("UPDATE t SET b = 4 WHERE a = 1"); !client.IsBusy(err) {
+		t.Fatalf("statement with worker pinned and queue full: want busy error, got %v", err)
+	}
 
 	// The queued statement overstays its lane bound and is abandoned.
 	select {

@@ -80,7 +80,14 @@ func (lm *LockManager) waitWithTimeout(l *keyLock, pred func() bool) bool {
 		}
 		// Wake the condition periodically so timeouts fire even without
 		// a Broadcast (simple and robust; contention is on hot keys).
-		timer := time.AfterFunc(time.Millisecond, l.cond.Broadcast)
+		// The wake-up takes lm.mu, which this goroutine holds until Wait
+		// parks it, so the Broadcast cannot land before the Wait and be
+		// lost.
+		timer := time.AfterFunc(time.Millisecond, func() {
+			lm.mu.Lock()
+			l.cond.Broadcast()
+			lm.mu.Unlock()
+		})
 		l.cond.Wait()
 		timer.Stop()
 	}

@@ -1,8 +1,7 @@
 // Package txn implements the transaction machinery of the engine:
 // a timestamp oracle, multi-version concurrency control with snapshot
-// isolation (the DB2 BLU / HANA / DBIM model the tutorial describes), a
-// two-phase-locking baseline for comparison, and an H-Store-style
-// pre-partitioned serial executor [38].
+// isolation (the DB2 BLU / HANA / DBIM model the tutorial describes), and
+// a two-phase-locking baseline for comparison.
 //
 // Timestamp convention (Hekaton-style): the oracle hands out commit
 // timestamps from a monotone counter. Transaction ids live in a disjoint
@@ -35,8 +34,13 @@ func IsCommittedTS(ts uint64) bool { return ts < TxnBase }
 // transactions so storage can compute a safe watermark (the oldest
 // snapshot still in use), which gates delta-merge and version GC.
 type Oracle struct {
-	commitTS atomic.Uint64 // last issued commit timestamp
+	commitTS atomic.Uint64 // last published commit timestamp
 	nextTxn  atomic.Uint64 // next transaction id (offset by TxnBase)
+
+	// commitMu serializes commit publication: a committer picks the
+	// next timestamp, stamps its versions, and only then publishes the
+	// timestamp, so no snapshot can include a half-stamped commit.
+	commitMu sync.Mutex
 
 	mu     sync.Mutex
 	active map[uint64]uint64 // txn id -> read timestamp
@@ -51,11 +55,12 @@ func NewOracle() *Oracle {
 
 // Begin starts a transaction: it allocates an id, takes the current
 // commit clock as the read timestamp (snapshot), and registers the
-// transaction as active.
+// transaction as active. The clock is read under mu so Watermark never
+// runs between the read and the registration.
 func (o *Oracle) Begin() *Txn {
 	id := TxnBase + o.nextTxn.Add(1)
-	read := o.commitTS.Load()
 	o.mu.Lock()
+	read := o.commitTS.Load()
 	o.active[id] = read
 	o.mu.Unlock()
 	return &Txn{ID: id, ReadTS: read, oracle: o}
@@ -64,9 +69,6 @@ func (o *Oracle) Begin() *Txn {
 // Now returns the current commit clock (the snapshot a new reader would
 // get).
 func (o *Oracle) Now() uint64 { return o.commitTS.Load() }
-
-// allocCommitTS advances the clock and returns a fresh commit timestamp.
-func (o *Oracle) allocCommitTS() uint64 { return o.commitTS.Add(1) }
 
 // finish unregisters a transaction.
 func (o *Oracle) finish(id uint64) {

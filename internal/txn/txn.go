@@ -61,7 +61,9 @@ type Txn struct {
 // Status returns the transaction state.
 func (t *Txn) Status() Status { return Status(t.status.Load()) }
 
-// OnCommit registers a hook to run with the commit timestamp.
+// OnCommit registers a hook to run with the commit timestamp. Hooks run
+// under the oracle's commit mutex, which every commit takes: a hook must
+// not block or commit another transaction.
 func (t *Txn) OnCommit(fn func(commitTS uint64)) { t.onCommit = append(t.onCommit, fn) }
 
 // OnAbort registers a hook to undo a provisional write.
@@ -71,19 +73,25 @@ func (t *Txn) OnAbort(fn func()) { t.onAbort = append(t.onAbort, fn) }
 // or abort) — strict two-phase locking.
 func (t *Txn) AddUnlocker(fn func()) { t.unlockers = append(t.unlockers, fn) }
 
-// Commit finalizes the transaction: it allocates a commit timestamp,
-// stamps every provisional write, releases locks, and unregisters from
-// the oracle.
+// Commit finalizes the transaction: it picks the next commit
+// timestamp, stamps every provisional write, publishes the timestamp,
+// releases locks, and unregisters from the oracle. Publication happens
+// after stamping, under the oracle's commit mutex, so a snapshot sees
+// all of a commit's writes or none of them.
 func (t *Txn) Commit() (uint64, error) {
 	if !t.status.CompareAndSwap(int32(StatusActive), int32(StatusCommitted)) {
 		return 0, ErrFinished
 	}
-	ts := t.oracle.allocCommitTS()
+	o := t.oracle
+	o.commitMu.Lock()
+	ts := o.commitTS.Load() + 1
 	for _, fn := range t.onCommit {
 		fn(ts)
 	}
+	o.commitTS.Store(ts)
+	o.commitMu.Unlock()
 	t.releaseLocks()
-	t.oracle.finish(t.ID)
+	o.finish(t.ID)
 	return ts, nil
 }
 

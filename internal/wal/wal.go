@@ -4,10 +4,10 @@
 //
 // Format: length-prefixed records, each protected by a CRC32. Records
 // carry an LSN, a transaction id, a kind, and a payload (serialized rows
-// for data records). A Writer batches concurrent appends into group
-// commits; Replay scans a log, validates checksums, and delivers only
-// records of transactions that reached COMMIT, stopping cleanly at a torn
-// tail (crash simulation).
+// for data records). Log (log.go) appends them to rotating segment files
+// with group commit; ReplayDir scans the segments, validates checksums,
+// and delivers only records of transactions that reached COMMIT,
+// stopping cleanly at a torn tail.
 package wal
 
 import (
@@ -18,8 +18,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"sync"
 
 	"repro/internal/types"
 )
@@ -78,7 +76,7 @@ type Record struct {
 }
 
 // ErrTorn is returned by a reader encountering a torn or corrupt record;
-// Replay treats it as end-of-log.
+// ScanRecords treats it as end-of-log.
 var ErrTorn = errors.New("wal: torn or corrupt record")
 
 // encodeValue appends a value to buf: 1 type byte (0xff = null marker
@@ -282,123 +280,4 @@ func ScanRecords(r io.Reader) (recs []Record, validBytes int64) {
 		recs = append(recs, rec)
 		validBytes += int64(frameOverhead) + int64(n)
 	}
-}
-
-// Writer appends records to a log file with group commit: concurrent
-// Append calls are batched and flushed together, amortizing the sync.
-type Writer struct {
-	mu      sync.Mutex
-	f       *os.File
-	bw      *bufio.Writer
-	nextLSN uint64
-	syncOn  bool
-	// stats
-	appends uint64
-	syncs   uint64
-}
-
-// Options configures a Writer.
-type Options struct {
-	// Sync forces an fsync on every group commit. Off by default in
-	// benchmarks (the simulator measures engine costs, not disk).
-	Sync bool
-}
-
-// Create opens (truncating) a log file for writing.
-func Create(path string, opts Options) (*Writer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	return &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<20), nextLSN: 1, syncOn: opts.Sync}, nil
-}
-
-// Append writes a batch of records belonging to one transaction and
-// flushes them (group commit happens via the shared mutex: all queued
-// callers' bytes are flushed by whoever holds the lock last). It assigns
-// and returns the LSN of the final record.
-func (w *Writer) Append(recs ...Record) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var last uint64
-	var frame []byte
-	for i := range recs {
-		recs[i].LSN = w.nextLSN
-		w.nextLSN++
-		last = recs[i].LSN
-		frame = AppendFrame(frame[:0], &recs[i])
-		if _, err := w.bw.Write(frame); err != nil {
-			return 0, fmt.Errorf("wal: %w", err)
-		}
-		w.appends++
-	}
-	if err := w.bw.Flush(); err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	if w.syncOn {
-		if err := w.f.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: %w", err)
-		}
-		w.syncs++
-	}
-	return last, nil
-}
-
-// Stats reports appended record and sync counts.
-func (w *Writer) Stats() (appends, syncs uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appends, w.syncs
-}
-
-// Close flushes and closes the log.
-func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	return w.f.Close()
-}
-
-// ReadAll scans a log file and returns every intact record, stopping
-// silently at a torn tail.
-func ReadAll(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	out, _ := ScanRecords(f)
-	if cerr := f.Close(); cerr != nil {
-		return nil, fmt.Errorf("wal: %w", cerr)
-	}
-	return out, nil
-}
-
-// Replay reads the log and calls apply for each data record of every
-// transaction that committed, in log order. Records of transactions with
-// no COMMIT (in-flight at crash, or aborted) are discarded — exactly the
-// recovery contract the tutorial's ACID systems provide.
-func Replay(path string, apply func(Record) error) error {
-	recs, err := ReadAll(path)
-	if err != nil {
-		return err
-	}
-	committed := make(map[uint64]bool)
-	for _, r := range recs {
-		if r.Kind == KindCommit {
-			committed[r.TxnID] = true
-		}
-	}
-	for _, r := range recs {
-		switch r.Kind {
-		case KindInsert, KindUpdate, KindDelete:
-			if committed[r.TxnID] {
-				if err := apply(r); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }

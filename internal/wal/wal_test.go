@@ -3,17 +3,11 @@ package wal
 import (
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/types"
 )
-
-func tmpLog(t *testing.T) string {
-	t.Helper()
-	return filepath.Join(t.TempDir(), "test.wal")
-}
 
 func TestKindString(t *testing.T) {
 	if KindCommit.String() != "COMMIT" || KindInsert.String() != "INSERT" {
@@ -79,185 +73,105 @@ func TestDecodeTorn(t *testing.T) {
 	}
 }
 
-func TestWriterReadAll(t *testing.T) {
-	path := tmpLog(t)
-	w, err := Create(path, Options{})
+// writeLog appends each group through a SyncSync segmented log in dir
+// and returns the path of the log's only segment.
+func writeLog(t *testing.T, dir string, groups ...[]Record) string {
+	t.Helper()
+	l, err := OpenLog(dir, LogOptions{Mode: SyncSync})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		if _, err := w.Append(Record{TxnID: uint64(i), Kind: KindInsert, Table: "t",
-			Row: types.Row{types.NewInt(int64(i))}}); err != nil {
+	for _, g := range groups {
+		if _, err := l.Append(g...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Close(); err != nil {
+	segs := l.Segments()
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadAll(path)
-	if err != nil {
-		t.Fatal(err)
+	if len(segs) != 1 {
+		t.Fatalf("want one segment, got %v", segs)
 	}
-	if len(recs) != 100 {
-		t.Fatalf("read %d records", len(recs))
-	}
-	for i, r := range recs {
-		if r.LSN != uint64(i+1) {
-			t.Fatalf("LSN[%d] = %d", i, r.LSN)
-		}
-		if r.Row[0].I != int64(i) {
-			t.Fatalf("row[%d] = %v", i, r.Row)
-		}
-	}
+	return filepath.Join(dir, segs[0])
 }
 
-func TestAppendAssignsMonotonicLSN(t *testing.T) {
-	path := tmpLog(t)
-	w, _ := Create(path, Options{})
-	defer w.Close()
-	l1, _ := w.Append(Record{Kind: KindBegin, TxnID: 1})
-	l2, _ := w.Append(Record{Kind: KindCommit, TxnID: 1})
-	if l2 <= l1 {
-		t.Fatalf("LSNs not monotonic: %d then %d", l1, l2)
-	}
-	// Multi-record append returns the last LSN.
-	l3, _ := w.Append(Record{Kind: KindBegin, TxnID: 2}, Record{Kind: KindCommit, TxnID: 2})
-	if l3 != l2+2 {
-		t.Fatalf("batch LSN = %d, want %d", l3, l2+2)
-	}
-}
-
-func TestConcurrentAppend(t *testing.T) {
-	path := tmpLog(t)
-	w, _ := Create(path, Options{})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				_, err := w.Append(Record{TxnID: uint64(g), Kind: KindInsert, Table: "t",
-					Row: types.Row{types.NewInt(int64(i))}})
-				if err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadAll(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1600 {
-		t.Fatalf("read %d records, want 1600", len(recs))
-	}
-	for i, r := range recs {
-		if r.LSN != uint64(i+1) {
-			t.Fatalf("gap in LSN at %d: %d", i, r.LSN)
-		}
-	}
-	app, _ := w.Stats()
-	if app != 1600 {
-		t.Fatalf("Stats appends = %d", app)
-	}
-}
-
-func TestReplayFiltersUncommitted(t *testing.T) {
-	path := tmpLog(t)
-	w, _ := Create(path, Options{})
-	// txn 1 commits, txn 2 aborts, txn 3 in flight at crash.
-	w.Append(Record{TxnID: 1, Kind: KindBegin})
-	w.Append(Record{TxnID: 1, Kind: KindInsert, Table: "t", Row: types.Row{types.NewInt(1)}})
-	w.Append(Record{TxnID: 2, Kind: KindBegin})
-	w.Append(Record{TxnID: 2, Kind: KindInsert, Table: "t", Row: types.Row{types.NewInt(2)}})
-	w.Append(Record{TxnID: 1, Kind: KindCommit})
-	w.Append(Record{TxnID: 2, Kind: KindAbort})
-	w.Append(Record{TxnID: 3, Kind: KindBegin})
-	w.Append(Record{TxnID: 3, Kind: KindInsert, Table: "t", Row: types.Row{types.NewInt(3)}})
-	w.Close()
-
+// replayedInserts returns the first column of every INSERT ReplayDir
+// delivers, in log order.
+func replayedInserts(t *testing.T, dir string) []int64 {
+	t.Helper()
 	var applied []int64
-	err := Replay(path, func(r Record) error {
-		applied = append(applied, r.Row[0].I)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(applied) != 1 || applied[0] != 1 {
-		t.Fatalf("Replay applied %v, want [1]", applied)
-	}
-}
-
-func TestReplayTornTail(t *testing.T) {
-	path := tmpLog(t)
-	w, _ := Create(path, Options{})
-	w.Append(Record{TxnID: 1, Kind: KindBegin})
-	w.Append(Record{TxnID: 1, Kind: KindInsert, Table: "t", Row: types.Row{types.NewInt(10)}})
-	w.Append(Record{TxnID: 1, Kind: KindCommit})
-	w.Append(Record{TxnID: 2, Kind: KindBegin})
-	w.Append(Record{TxnID: 2, Kind: KindInsert, Table: "t", Row: types.Row{types.NewInt(20)}})
-	w.Append(Record{TxnID: 2, Kind: KindCommit})
-	w.Close()
-
-	// Simulate a crash mid-write: truncate inside the final record.
-	fi, _ := os.Stat(path)
-	if err := os.Truncate(path, fi.Size()-3); err != nil {
-		t.Fatal(err)
-	}
-	var applied []int64
-	if err := Replay(path, func(r Record) error {
-		applied = append(applied, r.Row[0].I)
+	if err := ReplayDir(nil, dir, 0, func(r Record) error {
+		if r.Kind == KindInsert {
+			applied = append(applied, r.Row[0].I)
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return applied
+}
+
+func TestReplayFiltersUncommitted(t *testing.T) {
+	dir := t.TempDir()
+	// txn 1 commits, txn 2 aborts, txn 3 in flight at crash.
+	writeLog(t, dir,
+		[]Record{{TxnID: 1, Kind: KindBegin}},
+		[]Record{intRec(1, KindInsert, 1)},
+		[]Record{{TxnID: 2, Kind: KindBegin}},
+		[]Record{intRec(2, KindInsert, 2)},
+		[]Record{{TxnID: 1, Kind: KindCommit}},
+		[]Record{{TxnID: 2, Kind: KindAbort}},
+		[]Record{{TxnID: 3, Kind: KindBegin}},
+		[]Record{intRec(3, KindInsert, 3)},
+	)
+	if applied := replayedInserts(t, dir); len(applied) != 1 || applied[0] != 1 {
+		t.Fatalf("ReplayDir applied %v, want [1]", applied)
+	}
+}
+
+func TestReplayTornTail(t *testing.T) {
+	dir := t.TempDir()
+	path := writeLog(t, dir,
+		[]Record{intRec(1, KindInsert, 10), {TxnID: 1, Kind: KindCommit}},
+		[]Record{intRec(2, KindInsert, 20), {TxnID: 2, Kind: KindCommit}},
+	)
+	// Simulate a crash mid-write: truncate inside the final record.
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
 	// txn 2's COMMIT was torn, so only txn 1 replays.
-	if len(applied) != 1 || applied[0] != 10 {
-		t.Fatalf("Replay after torn tail = %v, want [10]", applied)
+	if applied := replayedInserts(t, dir); len(applied) != 1 || applied[0] != 10 {
+		t.Fatalf("ReplayDir after torn tail = %v, want [10]", applied)
 	}
 }
 
 func TestReplayCorruptMiddleStopsCleanly(t *testing.T) {
-	path := tmpLog(t)
-	w, _ := Create(path, Options{})
-	w.Append(Record{TxnID: 1, Kind: KindBegin})
-	w.Append(Record{TxnID: 1, Kind: KindInsert, Table: "t", Row: types.Row{types.NewInt(10)}})
-	w.Append(Record{TxnID: 1, Kind: KindCommit})
-	w.Close()
-
+	dir := t.TempDir()
+	path := writeLog(t, dir,
+		[]Record{{TxnID: 1, Kind: KindBegin}},
+		[]Record{intRec(1, KindInsert, 10)},
+		[]Record{{TxnID: 1, Kind: KindCommit}},
+	)
 	// Flip a byte in the middle: the record CRC must catch it, treating
 	// the rest as torn.
-	data, _ := os.ReadFile(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	data[len(data)/2] ^= 0x40
-	os.WriteFile(path, data, 0o644)
-
-	recs, err := ReadAll(path)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadSegments(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) >= 3 {
 		t.Fatalf("corruption not detected: %d records", len(recs))
 	}
-}
-
-func TestSyncOption(t *testing.T) {
-	path := tmpLog(t)
-	w, err := Create(path, Options{Sync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Append(Record{TxnID: 1, Kind: KindCommit}); err != nil {
-		t.Fatal(err)
-	}
-	_, syncs := w.Stats()
-	if syncs != 1 {
-		t.Fatalf("syncs = %d", syncs)
-	}
-	w.Close()
 }
