@@ -31,7 +31,7 @@ race:
 # Durability gauntlet: the kill-and-recover fault matrix, torn-tail
 # property tests, and crash-recovery round trips, race-enabled.
 durability:
-	go test -race -run 'TestKillAndRecover|TestDir|TestRecover|TestTorn|TestFault|TestLog' ./internal/wal ./internal/core ./db
+	go test -race -run 'TestKillAndRecover|TestDir|TestTorn|TestFault|TestLog' ./internal/wal ./internal/core ./db
 
 # Quick smoke: the E10/E13–E18 scoreboards at minimal iterations.
 bench-smoke:

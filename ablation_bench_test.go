@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -101,7 +102,7 @@ func BenchmarkAblation_SecondaryIndexVsScan(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tx := e.Begin()
 			n := 0
-			tx.Scan("t", nil, nil, func(batch *types.Batch) bool {
+			tx.ScanCtx(context.Background(), "t", nil, nil, func(batch *types.Batch) bool {
 				for r := 0; r < batch.Len(); r++ {
 					if batch.Row(r)[1].S == "cat-500" {
 						n++

@@ -92,7 +92,7 @@ func scanSum(b *testing.B, e *core.Engine, proj []int) int64 {
 	tx := e.Begin()
 	defer tx.Abort()
 	var sum int64
-	_, err := tx.Scan("t", proj, nil, func(batch *types.Batch) bool {
+	_, err := tx.ScanCtx(context.Background(), "t", proj, nil, func(batch *types.Batch) bool {
 		for _, v := range batch.Cols[0].Ints {
 			sum += v
 		}
@@ -357,7 +357,7 @@ func runE4(b *testing.B, mode core.ConcurrencyMode, analyticThreads int) {
 			}
 		}(g)
 	}
-	w := &bench.Worker{E: e, Scale: sc, Rng: rand.New(rand.NewSource(99)), NextHist: &hist}
+	w := &bench.Worker{E: e, Scale: sc, Rng: rand.New(rand.NewSource(99)), Ctx: context.Background(), NextHist: &hist}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := w.RunOne(); err != nil {
@@ -431,7 +431,7 @@ func runE5(b *testing.B, mode core.ConcurrencyMode) {
 	for i := 0; i < b.N; i++ {
 		rtx := e.Begin()
 		n := 0
-		_, err := rtx.Scan("t", []int{1}, nil, func(batch *types.Batch) bool {
+		_, err := rtx.ScanCtx(context.Background(), "t", []int{1}, nil, func(batch *types.Batch) bool {
 			n += batch.Len()
 			return true
 		})
@@ -461,7 +461,7 @@ func BenchmarkE5_ReadersUnderWrites(b *testing.B) {
 // ---------------------------------------------------------------------
 
 func BenchmarkE6_Scans(b *testing.B) {
-	// Scaling to 4 workers is the ScanParallel scoreboard.
+	// Scaling from 1 to 4 workers is the Segment.Scan scoreboard.
 	seg := e6Segment()
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("segment-parallel/workers=%d", workers), func(b *testing.B) {
@@ -469,19 +469,14 @@ func BenchmarkE6_Scans(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var acc int64
-				fn := func(batch *types.Batch) bool {
+				seg.Scan(100, 0, []int{1}, nil, workers, nil, func(_ int, batch *types.Batch) bool {
 					var local int64
 					for _, v := range batch.Cols[0].Ints {
 						local += v
 					}
 					atomic.AddInt64(&acc, local)
 					return true
-				}
-				if workers <= 1 {
-					seg.Scan(100, 0, []int{1}, nil, fn)
-				} else {
-					seg.ScanParallel(100, 0, []int{1}, nil, workers, nil, fn)
-				}
+				})
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
 		})
@@ -965,7 +960,7 @@ func BenchmarkE11_ZoneMapPruning(b *testing.B) {
 			var stats colstore.ScanStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				stats = seg.Scan(100, 0, []int{0}, preds, func(batch *types.Batch) bool { return true })
+				stats = seg.Scan(100, 0, []int{0}, preds, 1, nil, func(_ int, batch *types.Batch) bool { return true })
 			}
 			b.ReportMetric(100*float64(stats.ZonesPruned)/float64(stats.ZonesTotal), "pruned%")
 		})
@@ -1269,7 +1264,7 @@ func BenchmarkE17_ScanSkipping(b *testing.B) {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						rows = 0
-						stats = st.Scan(100, 0, []int{0, 3}, preds, func(batch *types.Batch) bool {
+						stats = st.Scan(100, 0, []int{0, 3}, preds, 1, nil, func(_ int, batch *types.Batch) bool {
 							rows += batch.Len()
 							return true
 						})

@@ -220,7 +220,7 @@ func isLaunderCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 }
 
 // isScanCall reports whether call's callee name begins with "Scan"
-// (Scan, ScanCtx, ScanWorkers, ScanParallel, ...), the engine's
+// (Scan, ScanCtx, ScanWorkers, ...), the engine's
 // callback-delivery scan surface.
 func isScanCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := analysis.CalleeFunc(pass.TypesInfo, call)

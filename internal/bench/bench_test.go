@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -33,7 +34,7 @@ func count(t *testing.T, e *core.Engine, table string) int {
 	tx := e.Begin()
 	defer tx.Abort()
 	n := 0
-	if _, err := tx.Scan(table, nil, nil, func(b *types.Batch) bool {
+	if _, err := tx.ScanCtx(context.Background(), table, nil, nil, func(b *types.Batch) bool {
 		n += b.Len()
 		return true
 	}); err != nil {
@@ -81,7 +82,7 @@ func TestLoadDeterministic(t *testing.T) {
 }
 
 func newWorker(e *core.Engine, sc Scale, seed int64) *Worker {
-	return &Worker{E: e, Scale: sc, Rng: rand.New(rand.NewSource(seed)), NextHist: &atomic.Int64{}}
+	return &Worker{E: e, Scale: sc, Rng: rand.New(rand.NewSource(seed)), Ctx: context.Background(), NextHist: &atomic.Int64{}}
 }
 
 func TestTransactionMixRuns(t *testing.T) {

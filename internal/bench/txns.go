@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -65,6 +66,8 @@ type Worker struct {
 	E     *core.Engine
 	Scale Scale
 	Rng   *rand.Rand
+	// Ctx cancels the worker's scans (a nil Ctx never cancels).
+	Ctx context.Context
 	// nextHist allocates history primary keys (shared across workers).
 	NextHist *atomic.Int64
 
@@ -268,7 +271,7 @@ func (w *Worker) OrderStatus() error {
 	// Find the customer's latest order by scanning the district's
 	// orders (range scan on the ordered primary key).
 	var lastOID int64 = -1
-	_, err := tx.Scan(TOrders, []int{2, 3}, []colstore.Predicate{
+	_, err := tx.ScanCtx(w.Ctx, TOrders, []int{2, 3}, []colstore.Predicate{
 		{Col: 0, Op: colstore.OpEq, Val: iv(wid)},
 		{Col: 1, Op: colstore.OpEq, Val: iv(did)},
 		{Col: 3, Op: colstore.OpEq, Val: iv(cid)},
@@ -287,7 +290,7 @@ func (w *Worker) OrderStatus() error {
 		return nil // customer with no orders: fine
 	}
 	// Read its lines.
-	_, err = tx.Scan(TOrderLine, []int{4, 6, 7}, []colstore.Predicate{
+	_, err = tx.ScanCtx(w.Ctx, TOrderLine, []int{4, 6, 7}, []colstore.Predicate{
 		{Col: 0, Op: colstore.OpEq, Val: iv(wid)},
 		{Col: 1, Op: colstore.OpEq, Val: iv(did)},
 		{Col: 2, Op: colstore.OpEq, Val: iv(lastOID)},
@@ -307,7 +310,7 @@ func (w *Worker) Delivery() error {
 	}()
 	// Oldest new_order for the district.
 	var oid int64 = -1
-	_, err := tx.Scan(TNewOrder, []int{2}, []colstore.Predicate{
+	_, err := tx.ScanCtx(w.Ctx, TNewOrder, []int{2}, []colstore.Predicate{
 		{Col: 0, Op: colstore.OpEq, Val: iv(wid)},
 		{Col: 1, Op: colstore.OpEq, Val: iv(did)},
 	}, func(b *types.Batch) bool {
@@ -343,7 +346,7 @@ func (w *Worker) Delivery() error {
 	var total float64
 	var lineKeys []types.Row
 	var lineRows []types.Row
-	_, err = tx.Scan(TOrderLine, nil, []colstore.Predicate{
+	_, err = tx.ScanCtx(w.Ctx, TOrderLine, nil, []colstore.Predicate{
 		{Col: 0, Op: colstore.OpEq, Val: iv(wid)},
 		{Col: 1, Op: colstore.OpEq, Val: iv(did)},
 		{Col: 2, Op: colstore.OpEq, Val: iv(oid)},
@@ -398,7 +401,7 @@ func (w *Worker) StockLevel() error {
 	nextO := dRow[5].I
 	// Items in the last 20 orders.
 	items := map[int64]bool{}
-	_, err = tx.Scan(TOrderLine, []int{2, 4}, []colstore.Predicate{
+	_, err = tx.ScanCtx(w.Ctx, TOrderLine, []int{2, 4}, []colstore.Predicate{
 		{Col: 0, Op: colstore.OpEq, Val: iv(wid)},
 		{Col: 1, Op: colstore.OpEq, Val: iv(did)},
 		{Col: 2, Op: colstore.OpGe, Val: iv(nextO - 20)},

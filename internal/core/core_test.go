@@ -60,7 +60,7 @@ func countVisible(t *testing.T, e *Engine, table string) int {
 	tx := e.Begin()
 	defer tx.Abort()
 	n := 0
-	_, err := tx.Scan(table, nil, nil, func(b *types.Batch) bool {
+	_, err := tx.ScanCtx(context.Background(), table, nil, nil, func(b *types.Batch) bool {
 		n += b.Len()
 		return true
 	})
@@ -212,7 +212,7 @@ func TestMergeIsResultTransparent(t *testing.T) {
 		out := map[int64]int64{}
 		tx := e.Begin()
 		defer tx.Abort()
-		tx.Scan("items", nil, nil, func(b *types.Batch) bool {
+		tx.ScanCtx(context.Background(), "items", nil, nil, func(b *types.Batch) bool {
 			for i := 0; i < b.Len(); i++ {
 				r := b.Row(i)
 				out[r[0].I] = r[2].I
@@ -244,7 +244,7 @@ func TestOldSnapshotReadsAfterMerge(t *testing.T) {
 	// The old reader must see only row 1 even though both rows now live
 	// in the column store (per-row insert timestamps).
 	n := 0
-	oldReader.Scan("items", nil, nil, func(b *types.Batch) bool {
+	oldReader.ScanCtx(context.Background(), "items", nil, nil, func(b *types.Batch) bool {
 		n += b.Len()
 		return true
 	})
@@ -278,7 +278,7 @@ func TestWritesAfterMergeUpdateMergedRows(t *testing.T) {
 	}
 	// No double count.
 	n := 0
-	tx.Scan("items", nil, nil, func(b *types.Batch) bool { n += b.Len(); return true })
+	tx.ScanCtx(context.Background(), "items", nil, nil, func(b *types.Batch) bool { n += b.Len(); return true })
 	if n != 10 {
 		t.Fatalf("scan after update-of-merged = %d rows, want 10", n)
 	}
@@ -381,7 +381,7 @@ func TestScanWithPredicatesAndProjection(t *testing.T) {
 	defer tx.Abort()
 	total := 0
 	sum := int64(0)
-	_, err := tx.Scan("items", []int{0, 2}, []colstore.Predicate{
+	_, err := tx.ScanCtx(context.Background(), "items", []int{0, 2}, []colstore.Predicate{
 		{Col: 1, Op: colstore.OpEq, Val: types.NewString("y")},
 		{Col: 0, Op: colstore.OpLt, Val: types.NewInt(150)},
 	}, func(b *types.Batch) bool {
@@ -510,7 +510,7 @@ func TestConcurrentReadersDuringMergeSeeStableCounts(t *testing.T) {
 			for k := 0; k < 30; k++ {
 				tx := e.Begin()
 				n := 0
-				tx.Scan("items", []int{0}, nil, func(b *types.Batch) bool {
+				tx.ScanCtx(context.Background(), "items", []int{0}, nil, func(b *types.Batch) bool {
 					n += b.Len()
 					return true
 				})

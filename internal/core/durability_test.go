@@ -27,7 +27,7 @@ func scanIDs(t *testing.T, e *Engine, table string) map[int64]int64 {
 	tx := e.Begin()
 	defer tx.Abort()
 	out := make(map[int64]int64)
-	_, err := tx.Scan(table, nil, nil, func(b *types.Batch) bool {
+	_, err := tx.ScanCtx(context.Background(), table, nil, nil, func(b *types.Batch) bool {
 		for i := 0; i < b.Len(); i++ {
 			r := b.Row(i)
 			out[r[0].I] = r[2].I

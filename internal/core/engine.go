@@ -637,80 +637,63 @@ func (t *Tx) Get(table string, key types.Row) (types.Row, bool, error) {
 	return nil, false, nil
 }
 
-// Scan streams every visible row of the table: column segments first
-// (vectorized), then the delta, under one consistent snapshot.
+// ScanCtx streams every visible row of the table — column segments
+// (morsel-parallel at the engine's configured parallelism), then the
+// delta — under one consistent snapshot. fn observes one batch at a
+// time: ScanCtx funnels the concurrent morsel workers through a mutex,
+// so fn needs no synchronization of its own. Every batch is transient,
+// valid only until fn returns; retainers must Batch.Copy it.
 //
-// Batch lifetime: with Options.Parallelism forced to 1 every batch
-// handed to fn is freshly allocated and may be retained. With the
-// default (Parallelism resolves to GOMAXPROCS) on a multi-core machine
-// the scan runs morsel-parallel and every batch — cold and delta — is
-// pooled: valid only until fn returns, so retainers must Batch.Copy
-// them (TableScan does this automatically).
+// When ctx is cancelled the scan stops within one batch/zone boundary —
+// morsel workers observe ctx.Done() between zones and exit before
+// ScanCtx returns — and the error is ctx.Err(). A nil ctx never
+// cancels.
 //
 // In 2PL mode the scan takes a shared lock on the whole table (strict
 // S2PL at coarse granularity — the classical behaviour the tutorial's
 // multiversioned systems eliminate): analytic readers block behind
-// writers and vice versa, which is exactly what E4/E5 measure.
-func (t *Tx) Scan(table string, proj []int, preds []colstore.Predicate, fn func(b *types.Batch) bool) (colstore.ScanStats, error) {
-	//oadb:allow-ctxscan Scan is the deliberate context-free compatibility surface; ScanCtx is the cancellable path
-	return t.ScanCtx(context.Background(), table, proj, preds, fn)
-}
-
-// ScanCtx is Scan with cancellation: when ctx is cancelled the scan
-// stops within one batch/zone boundary — morsel workers observe
-// ctx.Done() between zones and exit before ScanCtx returns — and the
-// error is ctx.Err(). Locks held by the transaction (2PL mode) are NOT
-// released here; abort or commit the transaction to release them.
+// writers and vice versa, which is exactly what E4/E5 measure. Locks
+// held by the transaction are NOT released here; abort or commit the
+// transaction to release them.
 func (t *Tx) ScanCtx(ctx context.Context, table string, proj []int, preds []colstore.Predicate, fn func(b *types.Batch) bool) (colstore.ScanStats, error) {
 	tbl, err := t.engine.Table(table)
 	if err != nil {
-		return colstore.ScanStats{}, err
-	}
-	if err := t.lockTableShared(tbl); err != nil {
 		return colstore.ScanStats{}, err
 	}
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	stats := scanTableFn(tbl, t.inner.ReadTS, t.inner.ID, proj, preds, t.engine.opts.Parallelism, done, func(b *types.Batch, pooled bool) bool {
-		return fn(b)
+	var (
+		mu      sync.Mutex
+		stopped bool
+	)
+	stats, err := t.scan(tbl, proj, preds, t.engine.opts.Parallelism, done, func(_ int, b *types.Batch) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped || !fn(b) {
+			stopped = true
+			return false
+		}
+		return true
 	})
-	if ctx != nil && ctx.Err() != nil {
-		return stats, ctx.Err()
+	if err == nil && ctx != nil {
+		err = ctx.Err()
 	}
-	return stats, nil
+	return stats, err
 }
 
-// ScanWorkers is the parallel-consume variant of ScanCtx: fn is
-// invoked concurrently from up to workers morsel goroutines, each call
-// carrying the producing worker's id (delta rows arrive on worker 0
-// after the cold workers join). There is no cross-worker funnel, so fn
-// must be safe for concurrent calls with distinct worker ids; batches
-// are pooled and valid only until fn returns. workers <= 0 uses the
-// engine's configured parallelism. All workers have exited when
-// ScanWorkers returns; a cancelled ctx stops the scan within one zone
-// boundary and returns ctx.Err().
-func (t *Tx) ScanWorkers(ctx context.Context, table string, proj []int, preds []colstore.Predicate, workers int, fn func(worker int, b *types.Batch) bool) (colstore.ScanStats, error) {
-	tbl, err := t.engine.Table(table)
-	if err != nil {
-		return colstore.ScanStats{}, err
-	}
+// scan takes the 2PL table lock and runs scanTable at t's snapshot;
+// workers <= 0 uses the engine's configured parallelism. It is shared by
+// ScanCtx and both TableScan consumption modes.
+func (t *Tx) scan(tbl *Table, proj []int, preds []colstore.Predicate, workers int, done <-chan struct{}, fn func(worker int, b *types.Batch) bool) (colstore.ScanStats, error) {
 	if err := t.lockTableShared(tbl); err != nil {
 		return colstore.ScanStats{}, err
 	}
 	if workers <= 0 {
 		workers = t.engine.opts.Parallelism
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	stats := scanTableWorkers(tbl, t.inner.ReadTS, t.inner.ID, proj, preds, workers, done, fn)
-	if ctx != nil && ctx.Err() != nil {
-		return stats, ctx.Err()
-	}
-	return stats, nil
+	return scanTable(tbl, t.inner.ReadTS, t.inner.ID, proj, preds, workers, done, fn), nil
 }
 
 // lockTableShared takes the 2PL table-granularity shared lock (no-op in
@@ -726,23 +709,15 @@ func (t *Tx) lockTableShared(tbl *Table) error {
 // 2PL mode.
 var tableLockKey = types.Row{types.NewString("\x00table")}
 
-// scanTable unions the column store and the delta at one snapshot.
-func scanTable(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Predicate, fn func(b *types.Batch) bool) colstore.ScanStats {
-	return scanTableFn(tbl, readTS, self, proj, preds, 1, nil, func(b *types.Batch, pooled bool) bool {
-		return fn(b)
-	})
-}
-
-// scanTableFn is the full-fidelity scan driver: pooled reports whether
-// the delivered batch is transient (owned by a scan pool and valid only
-// during the callback). In a parallel scan every batch — cold and
-// delta — is pooled; only serial scans deliver freshly allocated,
-// retainable batches.
-//
-// done, when non-nil, cancels the scan: the column-store half checks it
-// between zones (morsel workers exit before their segment scan returns)
-// and the delta half checks it between batches.
-func scanTableFn(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Predicate, parallelism int, done <-chan struct{}, fn func(b *types.Batch, pooled bool) bool) colstore.ScanStats {
+// scanTable is the one scan driver: it unions the column store and the
+// delta at one snapshot. Cold-store batches are delivered concurrently
+// to fn with the producing worker's id (0..workers-1, no cross-worker
+// funnel — see colstore.Segment.Scan), then the delta streams to worker
+// 0 on the calling goroutine once the cold workers have joined. Every
+// batch is transient: valid only until fn returns. fn returning false
+// (any worker) stops the scan; done, when non-nil, cancels it between
+// zones/batches.
+func scanTable(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Predicate, workers int, done <-chan struct{}, fn func(worker int, b *types.Batch) bool) colstore.ScanStats {
 	tbl.storageMu.RLock()
 	defer tbl.storageMu.RUnlock()
 	if proj == nil {
@@ -751,29 +726,19 @@ func scanTableFn(tbl *Table, readTS, self uint64, proj []int, preds []colstore.P
 			proj[i] = i
 		}
 	}
-	cancelled := func() bool { return colstore.IsDone(done) }
-	stop := false
-	parallel := parallelism > 1
-	coldFn := func(b *types.Batch) bool {
-		if cancelled() || !fn(b, parallel) {
-			stop = true
+	var stopped atomic.Bool
+	stats := tbl.cold.Scan(readTS, self, proj, preds, workers, done, func(w int, b *types.Batch) bool {
+		if !fn(w, b) {
+			stopped.Store(true)
 			return false
 		}
 		return true
-	}
-	var stats colstore.ScanStats
-	if parallel {
-		stats = tbl.cold.ScanParallel(readTS, self, proj, preds, parallelism, done, coldFn)
-	} else {
-		stats = tbl.cold.Scan(readTS, self, proj, preds, coldFn)
-	}
-	if stop || cancelled() {
-		tbl.recordScan(stats)
-		return stats
-	}
-	scanDelta(tbl, readTS, self, proj, preds, parallel, done, &stats, func(b *types.Batch) bool {
-		return fn(b, parallel)
 	})
+	if !stopped.Load() && !colstore.IsDone(done) {
+		scanDelta(tbl, readTS, self, proj, preds, done, &stats, func(b *types.Batch) bool {
+			return fn(0, b)
+		})
+	}
 	tbl.recordScan(stats)
 	return stats
 }
@@ -782,24 +747,14 @@ func scanTableFn(tbl *Table, readTS, self uint64, proj []int, preds []colstore.P
 const deltaBatchSize = 1024
 
 // scanDelta streams the table's visible delta rows (primary-key order,
-// batched) to fn, accumulating stats. When pooled is true the batches
-// come from a BatchPool and are reused across flushes — valid only
-// until fn returns, like the parallel cold path's worker batches; when
-// false every batch is freshly allocated and may be retained. The
-// caller must hold tbl.storageMu.
-func scanDelta(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Predicate, pooled bool, done <-chan struct{}, stats *colstore.ScanStats, fn func(b *types.Batch) bool) {
-	projSchema := projectSchema(tbl.schema, proj)
-	var pool *types.BatchPool
-	nextBatch := func() *types.Batch {
-		if pooled {
-			if pool == nil {
-				pool = types.NewBatchPool(projSchema, deltaBatchSize)
-			}
-			return pool.Get()
-		}
-		return types.NewBatch(projSchema, deltaBatchSize)
-	}
-	batch := nextBatch()
+// batched) to fn, accumulating stats: every visible row examined counts
+// in RowsScanned, those passing preds in RowsMatched. The batches come
+// from a BatchPool and are reused across flushes — valid only until fn
+// returns, like the cold workers' batches. The caller must hold
+// tbl.storageMu.
+func scanDelta(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Predicate, done <-chan struct{}, stats *colstore.ScanStats, fn func(b *types.Batch) bool) {
+	pool := types.NewBatchPool(projectSchema(tbl.schema, proj), deltaBatchSize)
+	batch := pool.Get()
 	flush := func() bool {
 		if batch.Len() == 0 {
 			return true
@@ -808,17 +763,15 @@ func scanDelta(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Pre
 			return false
 		}
 		ok := fn(batch)
-		if pooled {
-			pool.Put(batch)
-		}
-		batch = nextBatch()
+		pool.Put(batch)
+		batch = pool.Get()
 		return ok
 	}
 	tbl.delta.Scan(readTS, self, func(row types.Row) bool {
+		stats.RowsScanned++
 		if !matchesAll(row, preds) {
 			return true
 		}
-		stats.RowsScanned++
 		stats.RowsMatched++
 		out := make(types.Row, len(proj))
 		for i, ci := range proj {
@@ -831,42 +784,6 @@ func scanDelta(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Pre
 		return true
 	})
 	flush()
-}
-
-// scanTableWorkers is the parallel-consume scan driver beneath the exec
-// pipeline: cold-store batches are delivered concurrently to fn with
-// the producing worker's id (0..workers-1, no cross-worker funnel —
-// see colstore.Segment.ScanParallelWorkers), then the delta streams to
-// worker 0 on the calling goroutine once the cold workers have joined.
-// Every batch is pooled/transient: valid only until fn returns. fn
-// returning false (any worker) stops the scan; done cancels it between
-// zones/batches.
-func scanTableWorkers(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Predicate, workers int, done <-chan struct{}, fn func(worker int, b *types.Batch) bool) colstore.ScanStats {
-	tbl.storageMu.RLock()
-	defer tbl.storageMu.RUnlock()
-	if proj == nil {
-		proj = make([]int, len(tbl.schema.Cols))
-		for i := range proj {
-			proj[i] = i
-		}
-	}
-	var stopped atomic.Bool
-	stats := tbl.cold.ScanParallelWorkers(readTS, self, proj, preds, workers, done, func(w int, b *types.Batch) bool {
-		if !fn(w, b) {
-			stopped.Store(true)
-			return false
-		}
-		return true
-	})
-	if stopped.Load() || colstore.IsDone(done) {
-		tbl.recordScan(stats)
-		return stats
-	}
-	scanDelta(tbl, readTS, self, proj, preds, true, done, &stats, func(b *types.Batch) bool {
-		return fn(0, b)
-	})
-	tbl.recordScan(stats)
-	return stats
 }
 
 func projectSchema(s *types.Schema, proj []int) *types.Schema {

@@ -50,20 +50,37 @@ func buildParallelEngine(t *testing.T, parallelism int) *Engine {
 }
 
 // TestScanParallelismOption: a Parallelism>1 engine must return exactly
-// the serial engine's scan results, through both the callback Scan API
-// and the ScanOperator bridge (which must detach pooled batches).
+// the serial engine's scan results and ScanStats through ScanCtx. The
+// callback's non-atomic counters rely on ScanCtx funnelling the morsel
+// workers; under -race that funnel is what this test guards. The second
+// input churns the delta tail (one UPDATE, one DELETE) and pins the
+// delta half of RowsScanned: every visible delta row examined counts,
+// not only the matches.
 func TestScanParallelismOption(t *testing.T) {
 	type result struct {
-		rows int
-		sum  int64
+		rows  int
+		sum   int64
+		stats colstore.ScanStats
 	}
-	run := func(par int) result {
+	run := func(par int, churn bool) result {
 		e := buildParallelEngine(t, par)
 		defer e.Close()
+		if churn {
+			tx := e.Begin()
+			if err := tx.Update("t", types.Row{types.NewInt(10_001)}, types.Row{types.NewInt(10_001), types.NewInt(7)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Delete("t", types.Row{types.NewInt(10_002)}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		tx := e.Begin()
 		defer tx.Abort()
 		var r result
-		_, err := tx.Scan("t", []int{1}, []colstore.Predicate{
+		stats, err := tx.ScanCtx(context.Background(), "t", []int{1}, []colstore.Predicate{
 			{Col: 1, Op: colstore.OpLt, Val: types.NewInt(50)},
 		}, func(b *types.Batch) bool {
 			c := b.Cols[0]
@@ -77,17 +94,33 @@ func TestScanParallelismOption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.stats = stats
+		if stats.RowsMatched != r.rows {
+			t.Errorf("parallelism=%d churn=%v: RowsMatched %d != delivered %d", par, churn, stats.RowsMatched, r.rows)
+		}
+		// v = id % 100 spans every zone, so no cold zone is pruned and
+		// the cold half scans all its rows; the delta half must add
+		// every visible delta row.
+		tbl, _ := e.Table("t")
+		deltaVisible := 0
+		tbl.delta.Scan(tx.ReadTS(), tx.ID(), func(types.Row) bool { deltaVisible++; return true })
+		if want := tbl.cold.NumRows() + deltaVisible; stats.RowsScanned != want {
+			t.Errorf("parallelism=%d churn=%v: RowsScanned %d, want %d cold + %d visible delta rows",
+				par, churn, stats.RowsScanned, tbl.cold.NumRows(), deltaVisible)
+		}
 		return r
 	}
-	serial := run(1)
-	for _, par := range []int{2, 4} {
-		got := run(par)
-		if got != serial {
-			t.Errorf("parallelism=%d: %+v != serial %+v", par, got, serial)
+	for _, churn := range []bool{false, true} {
+		serial := run(1, churn)
+		for _, par := range []int{2, 4} {
+			got := run(par, churn)
+			if got != serial {
+				t.Errorf("parallelism=%d churn=%v: %+v != serial %+v", par, churn, got, serial)
+			}
 		}
-	}
-	if serial.rows == 0 {
-		t.Fatal("scan matched nothing; fixture broken")
+		if serial.rows == 0 {
+			t.Fatal("scan matched nothing; fixture broken")
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -112,7 +113,7 @@ func verifyModel(t *testing.T, e *Engine, model map[int64]int64, step int) {
 	tx := e.Begin()
 	defer tx.Abort()
 	got := map[int64]int64{}
-	_, err := tx.Scan("items", nil, nil, func(b *types.Batch) bool {
+	_, err := tx.ScanCtx(context.Background(), "items", nil, nil, func(b *types.Batch) bool {
 		for i := 0; i < b.Len(); i++ {
 			r := b.Row(i)
 			if _, dup := got[r[0].I]; dup {

@@ -20,6 +20,11 @@ import (
 // context, SetPred fills parameter-valued predicates. This is what lets
 // a prepared statement reuse one operator tree across executions.
 //
+// Both consumption modes run the one scan driver, scanTable, whose
+// batches are transient at every parallelism: Next hands out copies
+// detached before they cross the producer's channel, ScanWorkers hands
+// the workers' own batches to fn, valid only until fn returns.
+//
 // Lifecycle: Next starts the producer lazily on first call. The
 // producer holds the table's storage read-latch for the duration of the
 // scan, so consumers that stop early (LIMIT, cancelled context,
@@ -178,25 +183,21 @@ func (t *TableScan) start() {
 	go func() {
 		defer close(run.ch)
 		defer close(run.finished)
-		if err := tx.lockTableShared(t.tbl); err != nil {
+		// Batches are transient (valid only during the callback):
+		// detach each before it crosses the channel. The channel send
+		// already serializes the workers, so no funnel is needed.
+		stats, err := tx.scan(t.tbl, t.proj, t.preds, t.engine.opts.Parallelism, run.done, func(_ int, b *types.Batch) bool {
+			select {
+			case run.ch <- b.Copy():
+				return true
+			case <-run.done:
+				return false
+			}
+		})
+		if err != nil {
 			run.errc <- err
 			return
 		}
-		stats := scanTableFn(t.tbl, tx.inner.ReadTS, tx.inner.ID, t.proj, t.preds,
-			t.engine.opts.Parallelism, run.done,
-			func(b *types.Batch, pooled bool) bool {
-				if pooled {
-					// Pooled parallel-scan batches are only valid during
-					// the callback; detach before crossing the channel.
-					b = b.Copy()
-				}
-				select {
-				case run.ch <- b:
-					return true
-				case <-run.done:
-					return false
-				}
-			})
 		t.Stats = stats
 	}()
 }
@@ -246,9 +247,10 @@ func (t *TableScan) MaxWorkers() int { return t.engine.opts.Parallelism }
 // arrive on worker 0 after the cold workers join). Unlike Next, no
 // producer goroutine or channel is involved — the exec pipeline driver
 // consumes each batch on the worker that produced it. Batches are
-// pooled: valid only until fn returns. fn returning false stops the
-// scan. All workers have exited when ScanWorkers returns; cancellation
-// of the bound context surfaces as its ctx.Err().
+// transient: valid only until fn returns. workers <= 0 uses the
+// engine's configured parallelism. fn returning false stops the scan.
+// All workers have exited when ScanWorkers returns; cancellation of the
+// bound context surfaces as its ctx.Err().
 func (t *TableScan) ScanWorkers(workers int, fn func(worker int, b *types.Batch) bool) error {
 	if t.tx == nil {
 		return fmt.Errorf("core: TableScan on %q is not bound to a transaction", t.tbl.name)
@@ -256,20 +258,17 @@ func (t *TableScan) ScanWorkers(workers int, fn func(worker int, b *types.Batch)
 	// Terminate any channel-mode execution so the two consumption modes
 	// never interleave on one scan.
 	t.stopRun()
-	if workers <= 0 {
-		workers = t.engine.opts.Parallelism
+	var done <-chan struct{}
+	if t.ctx != nil {
+		done = t.ctx.Done()
 	}
-	tx, ctx := t.tx, t.ctx
-	if err := tx.lockTableShared(t.tbl); err != nil {
+	stats, err := t.tx.scan(t.tbl, t.proj, t.preds, workers, done, fn)
+	if err != nil {
 		return err
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	t.Stats = scanTableWorkers(t.tbl, tx.inner.ReadTS, tx.inner.ID, t.proj, t.preds, workers, done, fn)
-	if ctx != nil && ctx.Err() != nil {
-		return ctx.Err()
+	t.Stats = stats
+	if t.ctx != nil {
+		return t.ctx.Err()
 	}
 	return nil
 }

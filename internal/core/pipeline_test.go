@@ -211,47 +211,33 @@ func TestTableScanScanWorkersMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ts2.Close()
-	var parSum, parN atomic.Int64
-	if err := ts2.ScanWorkers(testParallelism(), func(w int, b *types.Batch) bool {
-		var s, n int64
-		for i := 0; i < b.Len(); i++ {
-			s += b.Cols[1].Ints[b.RowIdx(i)]
-			n++
+	// workers <= 0 uses the engine's configured parallelism.
+	for _, workers := range []int{testParallelism(), 0} {
+		var parSum, parN atomic.Int64
+		if err := ts2.ScanWorkers(workers, func(w int, b *types.Batch) bool {
+			var s, n int64
+			for i := 0; i < b.Len(); i++ {
+				s += b.Cols[1].Ints[b.RowIdx(i)]
+				n++
+			}
+			parSum.Add(s)
+			parN.Add(n)
+			return true
+		}); err != nil {
+			t.Fatal(err)
 		}
-		parSum.Add(s)
-		parN.Add(n)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if parSum.Load() != serialSum || parN.Load() != serialN {
-		t.Fatalf("ScanWorkers (%d rows, sum %d) != serial (%d rows, sum %d)",
-			parN.Load(), parSum.Load(), serialN, serialSum)
+		if parSum.Load() != serialSum || parN.Load() != serialN {
+			t.Fatalf("ScanWorkers(%d) (%d rows, sum %d) != serial (%d rows, sum %d)",
+				workers, parN.Load(), parSum.Load(), serialN, serialSum)
+		}
 	}
 
-	// The Tx-level surface (resolves the table by name, workers <= 0
-	// uses the engine default) must agree, and early stop must hold.
-	var txSum, txN atomic.Int64
-	if _, err := tx.ScanWorkers(context.Background(), "t", []int{0, 2}, nil, 0, func(w int, b *types.Batch) bool {
-		var s, n int64
-		for i := 0; i < b.Len(); i++ {
-			s += b.Cols[1].Ints[b.RowIdx(i)]
-			n++
-		}
-		txSum.Add(s)
-		txN.Add(n)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if txSum.Load() != serialSum || txN.Load() != serialN {
-		t.Fatalf("Tx.ScanWorkers (%d rows, sum %d) != serial (%d rows, sum %d)",
-			txN.Load(), txSum.Load(), serialN, serialSum)
-	}
+	// Early stop: a false return ends the scan after each worker's
+	// first batch at most.
 	var stopped atomic.Int64
-	if _, err := tx.ScanWorkers(context.Background(), "t", []int{0}, nil, testParallelism(), func(w int, b *types.Batch) bool {
+	if err := ts2.ScanWorkers(testParallelism(), func(w int, b *types.Batch) bool {
 		stopped.Add(1)
-		return false // stop after each worker's first batch at most
+		return false
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ func (e *Engine) CreateIndex(table, name string, cols []string, ordered bool) er
 		time.Sleep(100 * time.Microsecond) // writers drain: they bypass the gate
 	}
 	now := e.oracle.Now()
-	scanTable(tbl, now, 0, nil, nil, func(b *types.Batch) bool {
+	scanTable(tbl, now, 0, nil, nil, 1, nil, func(_ int, b *types.Batch) bool {
 		for i := 0; i < b.Len(); i++ {
 			row := b.Row(i)
 			si.add(row, tbl.schema.KeyOf(row))

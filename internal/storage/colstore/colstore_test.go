@@ -69,7 +69,7 @@ func TestSegmentNulls(t *testing.T) {
 	}
 	// NULL never matches predicates.
 	var n int
-	seg.Scan(100, 0, []int{0}, []Predicate{{Col: 1, Op: OpEq, Val: types.NewString("x")}}, func(b *types.Batch) bool {
+	seg.Scan(100, 0, []int{0}, []Predicate{{Col: 1, Op: OpEq, Val: types.NewString("x")}}, 1, nil, func(_ int, b *types.Batch) bool {
 		n += b.Len()
 		return true
 	})
@@ -94,7 +94,7 @@ func TestScanProjectionAndPredicates(t *testing.T) {
 	stats := seg.Scan(100, 0, []int{0, 2}, []Predicate{
 		{Col: 0, Op: OpGe, Val: types.NewInt(100)},
 		{Col: 0, Op: OpLt, Val: types.NewInt(110)},
-	}, func(b *types.Batch) bool {
+	}, 1, nil, func(_ int, b *types.Batch) bool {
 		if len(b.Cols) != 2 {
 			t.Fatal("projection width")
 		}
@@ -112,7 +112,7 @@ func TestScanProjectionAndPredicates(t *testing.T) {
 func TestScanStringPredicateOnCodes(t *testing.T) {
 	seg := buildSegment(t, 4000, 1)
 	count := 0
-	seg.Scan(100, 0, []int{1}, []Predicate{{Col: 1, Op: OpEq, Val: types.NewString("beta")}}, func(b *types.Batch) bool {
+	seg.Scan(100, 0, []int{1}, []Predicate{{Col: 1, Op: OpEq, Val: types.NewString("beta")}}, 1, nil, func(_ int, b *types.Batch) bool {
 		for i := 0; i < b.Len(); i++ {
 			if b.Cols[0].Get(i).S != "beta" {
 				t.Fatal("wrong string matched")
@@ -126,7 +126,7 @@ func TestScanStringPredicateOnCodes(t *testing.T) {
 	}
 	// Range predicate on strings (code-domain).
 	count = 0
-	seg.Scan(100, 0, []int{1}, []Predicate{{Col: 1, Op: OpLe, Val: types.NewString("beta")}}, func(b *types.Batch) bool {
+	seg.Scan(100, 0, []int{1}, []Predicate{{Col: 1, Op: OpLe, Val: types.NewString("beta")}}, 1, nil, func(_ int, b *types.Batch) bool {
 		count += b.Len()
 		return true
 	})
@@ -136,7 +136,7 @@ func TestScanStringPredicateOnCodes(t *testing.T) {
 	}
 	// Not-equal.
 	count = 0
-	seg.Scan(100, 0, []int{1}, []Predicate{{Col: 1, Op: OpNe, Val: types.NewString("beta")}}, func(b *types.Batch) bool {
+	seg.Scan(100, 0, []int{1}, []Predicate{{Col: 1, Op: OpNe, Val: types.NewString("beta")}}, 1, nil, func(_ int, b *types.Batch) bool {
 		count += b.Len()
 		return true
 	})
@@ -145,7 +145,7 @@ func TestScanStringPredicateOnCodes(t *testing.T) {
 	}
 	// Absent value: Ne matches everything, Eq nothing.
 	count = 0
-	seg.Scan(100, 0, []int{1}, []Predicate{{Col: 1, Op: OpNe, Val: types.NewString("zzz")}}, func(b *types.Batch) bool {
+	seg.Scan(100, 0, []int{1}, []Predicate{{Col: 1, Op: OpNe, Val: types.NewString("zzz")}}, 1, nil, func(_ int, b *types.Batch) bool {
 		count += b.Len()
 		return true
 	})
@@ -153,7 +153,7 @@ func TestScanStringPredicateOnCodes(t *testing.T) {
 		t.Fatalf("<>zzz count = %d", count)
 	}
 	count = 0
-	seg.Scan(100, 0, []int{1}, []Predicate{{Col: 1, Op: OpEq, Val: types.NewString("zzz")}}, func(b *types.Batch) bool {
+	seg.Scan(100, 0, []int{1}, []Predicate{{Col: 1, Op: OpEq, Val: types.NewString("zzz")}}, 1, nil, func(_ int, b *types.Batch) bool {
 		count += b.Len()
 		return true
 	})
@@ -168,7 +168,7 @@ func TestZoneMapPruning(t *testing.T) {
 	stats := seg.Scan(100, 0, []int{0}, []Predicate{
 		{Col: 0, Op: OpGe, Val: types.NewInt(0)},
 		{Col: 0, Op: OpLt, Val: types.NewInt(int64(ZoneSize))},
-	}, func(b *types.Batch) bool { return true })
+	}, 1, nil, func(_ int, b *types.Batch) bool { return true })
 	if stats.ZonesTotal != 64 {
 		t.Fatalf("zones = %d", stats.ZonesTotal)
 	}
@@ -208,7 +208,7 @@ func TestZonePruningNeverChangesResults(t *testing.T) {
 			}
 		}
 		got := 0
-		seg.Scan(100, 0, []int{0}, []Predicate{pred}, func(b *types.Batch) bool {
+		seg.Scan(100, 0, []int{0}, []Predicate{pred}, 1, nil, func(_ int, b *types.Batch) bool {
 			got += b.Len()
 			return true
 		})
@@ -277,7 +277,7 @@ func TestScanSkipsDeleted(t *testing.T) {
 	}
 	ts, _ := tx.Commit()
 	count := 0
-	stats := seg.Scan(ts, 0, []int{0}, nil, func(b *types.Batch) bool {
+	stats := seg.Scan(ts, 0, []int{0}, nil, 1, nil, func(_ int, b *types.Batch) bool {
 		count += b.Len()
 		return true
 	})
@@ -308,7 +308,7 @@ func TestStoreMultiSegmentScanAndFind(t *testing.T) {
 		t.Fatalf("segments=%d rows=%d", st.NumSegments(), st.NumRows())
 	}
 	count := 0
-	st.Scan(100, 0, []int{0}, nil, func(b *types.Batch) bool {
+	st.Scan(100, 0, []int{0}, nil, 1, nil, func(_ int, b *types.Batch) bool {
 		count += b.Len()
 		return true
 	})
@@ -366,7 +366,7 @@ func TestStoreCompact(t *testing.T) {
 	}
 	// Data intact.
 	count := 0
-	st.Scan(o.Now(), 0, []int{0}, nil, func(b *types.Batch) bool {
+	st.Scan(o.Now(), 0, []int{0}, nil, 1, nil, func(_ int, b *types.Batch) bool {
 		for _, id := range b.Cols[0].Ints {
 			if id < 400 {
 				t.Fatalf("deleted row %d survived compaction", id)
@@ -387,7 +387,7 @@ func TestStoreCompact(t *testing.T) {
 func TestScanEarlyStop(t *testing.T) {
 	seg := buildSegment(t, 10*ZoneSize, 1)
 	batches := 0
-	seg.Scan(100, 0, []int{0}, nil, func(b *types.Batch) bool {
+	seg.Scan(100, 0, []int{0}, nil, 1, nil, func(_ int, b *types.Batch) bool {
 		batches++
 		return false
 	})
@@ -412,7 +412,7 @@ func TestEmptySegment(t *testing.T) {
 		t.Fatal("empty segment rows")
 	}
 	n := 0
-	seg.Scan(10, 0, []int{0}, nil, func(b *types.Batch) bool { n++; return true })
+	seg.Scan(10, 0, []int{0}, nil, 1, nil, func(_ int, b *types.Batch) bool { n++; return true })
 	if n != 0 {
 		t.Fatal("empty segment delivered batches")
 	}
@@ -432,7 +432,7 @@ func TestBuilderLen(t *testing.T) {
 func TestFloatPredicates(t *testing.T) {
 	seg := buildSegment(t, 1000, 1)
 	count := 0
-	seg.Scan(100, 0, []int{2}, []Predicate{{Col: 2, Op: OpLt, Val: types.NewFloat(15.0)}}, func(b *types.Batch) bool {
+	seg.Scan(100, 0, []int{2}, []Predicate{{Col: 2, Op: OpLt, Val: types.NewFloat(15.0)}}, 1, nil, func(_ int, b *types.Batch) bool {
 		count += b.Len()
 		return true
 	})
@@ -445,7 +445,7 @@ func TestFloatPredicates(t *testing.T) {
 func TestBoolPredicates(t *testing.T) {
 	seg := buildSegment(t, 100, 1)
 	count := 0
-	seg.Scan(100, 0, []int{3}, []Predicate{{Col: 3, Op: OpEq, Val: types.NewBool(true)}}, func(b *types.Batch) bool {
+	seg.Scan(100, 0, []int{3}, []Predicate{{Col: 3, Op: OpEq, Val: types.NewBool(true)}}, 1, nil, func(_ int, b *types.Batch) bool {
 		count += b.Len()
 		return true
 	})
@@ -464,7 +464,7 @@ func TestScanStatsString(t *testing.T) {
 		}
 		st.AddSegment(b.Build())
 	}
-	stats := st.Scan(100, 0, []int{0}, []Predicate{{Col: 0, Op: OpLt, Val: types.NewInt(10)}}, func(b *types.Batch) bool { return true })
+	stats := st.Scan(100, 0, []int{0}, []Predicate{{Col: 0, Op: OpLt, Val: types.NewInt(10)}}, 1, nil, func(_ int, b *types.Batch) bool { return true })
 	if stats.ZonesTotal != 3 {
 		t.Fatalf("zones total = %d", stats.ZonesTotal)
 	}

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -43,10 +44,12 @@ type scanTotals struct {
 	sumF float64
 }
 
+// drain scans seg at the given worker count. The callback touches only
+// atomics, so it is safe at any width without a lock of its own.
 func drain(seg *Segment, workers int, preds []Predicate) (scanTotals, ScanStats) {
 	var tot scanTotals
 	var sumV, rows atomic.Int64
-	fn := func(b *types.Batch) bool {
+	stats := seg.Scan(100, 0, []int{0, 1, 2, 3}, preds, workers, nil, func(_ int, b *types.Batch) bool {
 		rows.Add(int64(b.Len()))
 		vc := b.Cols[1]
 		for i := 0; i < b.Len(); i++ {
@@ -56,13 +59,7 @@ func drain(seg *Segment, workers int, preds []Predicate) (scanTotals, ScanStats)
 			}
 		}
 		return true
-	}
-	var stats ScanStats
-	if workers <= 1 {
-		stats = seg.Scan(100, 0, []int{0, 1, 2, 3}, preds, fn)
-	} else {
-		stats = seg.ScanParallel(100, 0, []int{0, 1, 2, 3}, preds, workers, nil, fn)
-	}
+	})
 	tot.rows = int(rows.Load())
 	tot.sumV = sumV.Load()
 	return tot, stats
@@ -80,7 +77,7 @@ func TestScanParallelMatchesSerial(t *testing.T) {
 		for _, workers := range []int{2, 4} {
 			par, parStats := drain(seg, workers, preds)
 			if par != serial {
-				t.Errorf("workers=%d preds=%v: parallel %+v != serial %+v", workers, preds, par, serial)
+				t.Errorf("workers=%d preds=%v: %+v != workers=1 %+v", workers, preds, par, serial)
 			}
 			if parStats != serialStats {
 				t.Errorf("workers=%d preds=%v: stats %+v != %+v", workers, preds, parStats, serialStats)
@@ -91,7 +88,7 @@ func TestScanParallelMatchesSerial(t *testing.T) {
 
 func TestScanParallelVisibility(t *testing.T) {
 	// Rows merged at different versions: only those at or before the
-	// read snapshot are visible, identically in both scan modes.
+	// read snapshot are visible, identically at every worker count.
 	schema := types.MustSchema([]types.Column{{Name: "id", Type: types.Int64}}, "id")
 	b := NewBuilder(schema, 50)
 	const n = 4 * ZoneSize
@@ -100,77 +97,106 @@ func TestScanParallelVisibility(t *testing.T) {
 	}
 	seg := b.Build()
 	for _, readTS := range []uint64{9, 15, 40} {
-		count := func(workers int) (int, ScanStats) {
-			got := 0
-			var stats ScanStats
-			fn := func(batch *types.Batch) bool { got += batch.Len(); return true }
-			if workers <= 1 {
-				stats = seg.Scan(readTS, 0, []int{0}, nil, fn)
-			} else {
-				stats = seg.ScanParallel(readTS, 0, []int{0}, nil, workers, nil, fn)
-			}
-			return got, stats
+		count := func(workers int) (int64, ScanStats) {
+			var got atomic.Int64
+			stats := seg.Scan(readTS, 0, []int{0}, nil, workers, nil, func(_ int, batch *types.Batch) bool {
+				got.Add(int64(batch.Len()))
+				return true
+			})
+			return got.Load(), stats
 		}
 		serial, serialStats := count(1)
 		parallel, parStats := count(4)
 		if serial != parallel || serialStats != parStats {
-			t.Errorf("readTS=%d: serial %d/%+v != parallel %d/%+v", readTS, serial, serialStats, parallel, parStats)
+			t.Errorf("readTS=%d: workers=1 %d/%+v != workers=4 %d/%+v", readTS, serial, serialStats, parallel, parStats)
 		}
 	}
 }
 
 func TestScanParallelEarlyStop(t *testing.T) {
 	seg := buildParallelSegment(16 * ZoneSize)
-	var delivered atomic.Int64
-	stats := seg.ScanParallel(100, 0, []int{0}, nil, 4, nil, func(b *types.Batch) bool {
-		return delivered.Add(1) < 3
-	})
-	if got := delivered.Load(); got < 3 {
-		t.Fatalf("delivered %d batches before stop, want >= 3", got)
-	}
-	// Early termination must not have scanned everything.
-	if stats.RowsMatched >= 16*ZoneSize {
-		t.Errorf("early stop still matched all %d rows", stats.RowsMatched)
+	for _, workers := range []int{1, 4} {
+		var delivered atomic.Int64
+		stats := seg.Scan(100, 0, []int{0}, nil, workers, nil, func(_ int, b *types.Batch) bool {
+			return delivered.Add(1) < 3
+		})
+		if got := delivered.Load(); got < 3 {
+			t.Fatalf("workers=%d: delivered %d batches before stop, want >= 3", workers, got)
+		}
+		if workers == 1 && delivered.Load() != 3 {
+			t.Fatalf("workers=1: delivered %d batches, want exactly 3", delivered.Load())
+		}
+		// Early termination must not have scanned everything.
+		if stats.RowsMatched >= 16*ZoneSize {
+			t.Errorf("workers=%d: early stop still matched all %d rows", workers, stats.RowsMatched)
+		}
 	}
 }
 
-// TestScanParallelBatchTransient documents the pooled-batch contract:
-// a batch retained beyond the callback is reused, so retainers must
-// Copy. The Copy must survive intact.
+// TestScanParallelBatchTransient documents the worker-owned batch
+// contract at every worker count: a batch retained beyond the callback
+// is reused, so retainers must Copy, and the Copy must survive intact.
+// The callback appends to a shared slice, so at workers > 1 it takes
+// its own lock — Scan does not serialize callbacks.
 func TestScanParallelBatchTransient(t *testing.T) {
 	seg := buildParallelSegment(6 * ZoneSize)
-	var copies []*types.Batch
-	seg.ScanParallel(100, 0, []int{0, 1}, nil, 2, nil, func(b *types.Batch) bool {
-		copies = append(copies, b.Copy())
-		return true
-	})
-	total := 0
-	var sum int64
-	for _, b := range copies {
-		total += b.Len()
-		c := b.Cols[0]
-		for i := 0; i < b.Len(); i++ {
-			sum += c.Ints[i]
-		}
-	}
 	want := 6 * ZoneSize
-	if total != want {
-		t.Fatalf("copied rows = %d, want %d", total, want)
-	}
 	var wantSum int64
 	for i := 0; i < want; i++ {
 		wantSum += int64(i)
 	}
-	if sum != wantSum {
-		t.Fatalf("sum over copies = %d, want %d", sum, wantSum)
+	for _, workers := range []int{1, 2} {
+		var (
+			mu       sync.Mutex
+			copies   []*types.Batch
+			retained []*types.Batch
+		)
+		seg.Scan(100, 0, []int{0, 1}, nil, workers, nil, func(_ int, b *types.Batch) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			copies = append(copies, b.Copy())
+			retained = append(retained, b)
+			return true
+		})
+		total := 0
+		var sum int64
+		for _, b := range copies {
+			total += b.Len()
+			c := b.Cols[0]
+			for i := 0; i < b.Len(); i++ {
+				sum += c.Ints[i]
+			}
+		}
+		if total != want {
+			t.Fatalf("workers=%d: copied rows = %d, want %d", workers, total, want)
+		}
+		if sum != wantSum {
+			t.Fatalf("workers=%d: sum over copies = %d, want %d", workers, sum, wantSum)
+		}
+		// Each worker hands out one batch, refilled per zone.
+		distinct := map[*types.Batch]bool{}
+		for _, b := range retained {
+			distinct[b] = true
+		}
+		if len(distinct) > workers {
+			t.Fatalf("workers=%d: %d distinct batches delivered, want at most one per worker", workers, len(distinct))
+		}
 	}
 }
 
 func TestScanParallelSingleZoneFallsBack(t *testing.T) {
-	seg := buildParallelSegment(100) // one zone: ScanParallel degrades to Scan
+	seg := buildParallelSegment(100) // one zone: one worker regardless of the request
 	got, stats := drain(seg, 8, nil)
 	want, wantStats := drain(seg, 1, nil)
 	if got != want || stats != wantStats {
-		t.Fatalf("single-zone parallel %+v/%+v != serial %+v/%+v", got, stats, want, wantStats)
+		t.Fatalf("single-zone workers=8 %+v/%+v != workers=1 %+v/%+v", got, stats, want, wantStats)
+	}
+	workers := map[int]bool{}
+	seg.Scan(100, 0, []int{0}, nil, 8, nil, func(w int, b *types.Batch) bool {
+		workers[w] = true // no lock: a single zone runs on the calling goroutine
+		return true
+	})
+	if len(workers) != 1 || !workers[0] {
+		t.Fatalf("single-zone scan ran on workers %v, want only worker 0", workers)
 	}
 }

@@ -135,7 +135,7 @@ func TestScanSkipParityExhaustive(t *testing.T) {
 				preds := []Predicate{{Col: col, Op: op, Val: lit}}
 				want := naiveScan(seg, 100, 0, preds)
 				var got []string
-				seg.Scan(100, 0, proj, preds, func(b *types.Batch) bool {
+				seg.Scan(100, 0, proj, preds, 1, nil, func(_ int, b *types.Batch) bool {
 					for r := 0; r < b.Len(); r++ {
 						got = append(got, rowKey(b.Row(r)))
 					}
@@ -157,8 +157,8 @@ func TestScanSkipParityExhaustive(t *testing.T) {
 }
 
 // TestScanSkipParityRandomized stacks 2-3 random predicates (so later
-// kernels see already-narrowed selection vectors) and checks parity on
-// both the serial scan and the concurrent per-worker scan.
+// kernels see already-narrowed selection vectors) and checks parity at
+// one worker (zone order) and at four concurrent workers (sorted).
 func TestScanSkipParityRandomized(t *testing.T) {
 	seg := buildSkipSegment(t, 4*ZoneSize)
 	st := NewStore(skipSchema())
@@ -185,21 +185,21 @@ func TestScanSkipParityRandomized(t *testing.T) {
 		}
 
 		var got []string
-		seg.Scan(100, 0, proj, preds, func(b *types.Batch) bool {
+		seg.Scan(100, 0, proj, preds, 1, nil, func(_ int, b *types.Batch) bool {
 			for r := 0; r < b.Len(); r++ {
 				got = append(got, rowKey(b.Row(r)))
 			}
 			return true
 		})
 		if fmt.Sprint(got) != fmt.Sprint(wantKeys) {
-			t.Fatalf("trial %d preds=%v: serial parity broke (%d vs %d rows)",
+			t.Fatalf("trial %d preds=%v: workers=1 parity broke (%d vs %d rows)",
 				trial, preds, len(got), len(want))
 		}
 
 		// Parallel path: order is not defined across workers, compare sorted.
 		var mu sync.Mutex
 		var gotPar []string
-		st.ScanParallelWorkers(100, 0, proj, preds, 4, nil, func(_ int, b *types.Batch) bool {
+		st.Scan(100, 0, proj, preds, 4, nil, func(_ int, b *types.Batch) bool {
 			mu.Lock()
 			defer mu.Unlock()
 			for r := 0; r < b.Len(); r++ {
@@ -211,7 +211,7 @@ func TestScanSkipParityRandomized(t *testing.T) {
 		sortedWant := append([]string(nil), wantKeys...)
 		sort.Strings(sortedWant)
 		if fmt.Sprint(gotPar) != fmt.Sprint(sortedWant) {
-			t.Fatalf("trial %d preds=%v: parallel parity broke (%d vs %d rows)",
+			t.Fatalf("trial %d preds=%v: workers=4 parity broke (%d vs %d rows)",
 				trial, preds, len(gotPar), len(want))
 		}
 	}
@@ -224,7 +224,7 @@ func TestSegmentPruneStats(t *testing.T) {
 	st := NewStore(skipSchema())
 	for s := 0; s < 4; s++ {
 		b := NewBuilder(skipSchema(), 1)
-		for i := 0; i < 2 * ZoneSize; i++ {
+		for i := 0; i < 2*ZoneSize; i++ {
 			id := int64(s*2*ZoneSize + i)
 			b.Add(types.Row{types.NewInt(id), types.NewInt(id % 16 * 1000),
 				types.NewString("x"), types.NewFloat(1)})
@@ -236,7 +236,7 @@ func TestSegmentPruneStats(t *testing.T) {
 		{Col: 0, Op: OpLt, Val: types.NewInt(150)},
 	}
 	rows := 0
-	stats := st.Scan(100, 0, []int{0, 3}, preds, func(b *types.Batch) bool {
+	stats := st.Scan(100, 0, []int{0, 3}, preds, 1, nil, func(_ int, b *types.Batch) bool {
 		rows += b.Len()
 		return true
 	})
@@ -267,7 +267,7 @@ func TestSegmentPruneStats(t *testing.T) {
 func TestDictAbsentEqualityPrunesSegment(t *testing.T) {
 	seg := buildSkipSegment(t, 4*ZoneSize)
 	preds := []Predicate{{Col: 2, Op: OpEq, Val: types.NewString("c04x")}}
-	stats := seg.Scan(100, 0, []int{0}, preds, func(b *types.Batch) bool {
+	stats := seg.Scan(100, 0, []int{0}, preds, 1, nil, func(_ int, b *types.Batch) bool {
 		t.Fatal("no batch expected")
 		return true
 	})
@@ -279,7 +279,7 @@ func TestDictAbsentEqualityPrunesSegment(t *testing.T) {
 	}
 	// Same for the int dictionary.
 	preds = []Predicate{{Col: 1, Op: OpEq, Val: types.NewInt(1500)}}
-	stats = seg.Scan(100, 0, []int{0}, preds, func(b *types.Batch) bool {
+	stats = seg.Scan(100, 0, []int{0}, preds, 1, nil, func(_ int, b *types.Batch) bool {
 		t.Fatal("no batch expected")
 		return true
 	})
@@ -293,7 +293,7 @@ func TestDictAbsentEqualityPrunesSegment(t *testing.T) {
 func TestNullCountPruning(t *testing.T) {
 	seg := buildSkipSegment(t, 4*ZoneSize)
 	// id has no NULLs anywhere: IS NULL prunes the whole segment.
-	stats := seg.Scan(100, 0, []int{0}, []Predicate{{Col: 0, Op: OpIsNull}}, func(b *types.Batch) bool {
+	stats := seg.Scan(100, 0, []int{0}, []Predicate{{Col: 0, Op: OpIsNull}}, 1, nil, func(_ int, b *types.Batch) bool {
 		t.Fatal("no batch expected")
 		return true
 	})
@@ -301,12 +301,12 @@ func TestNullCountPruning(t *testing.T) {
 		t.Fatalf("IS NULL on non-null column: segments pruned = %d", stats.SegmentsPruned)
 	}
 	// grp IS NOT NULL prunes exactly the all-null zone 2.
-	stats = seg.Scan(100, 0, []int{0}, []Predicate{{Col: 1, Op: OpIsNotNull}}, func(b *types.Batch) bool { return true })
+	stats = seg.Scan(100, 0, []int{0}, []Predicate{{Col: 1, Op: OpIsNotNull}}, 1, nil, func(_ int, b *types.Batch) bool { return true })
 	if stats.ZonesPruned != 1 {
 		t.Fatalf("IS NOT NULL: zones pruned = %d, want 1 (the all-null zone)", stats.ZonesPruned)
 	}
 	// A comparison can never match in the all-null zone either.
-	stats = seg.Scan(100, 0, []int{0}, []Predicate{{Col: 1, Op: OpLe, Val: types.NewInt(100000)}}, func(b *types.Batch) bool { return true })
+	stats = seg.Scan(100, 0, []int{0}, []Predicate{{Col: 1, Op: OpLe, Val: types.NewInt(100000)}}, 1, nil, func(_ int, b *types.Batch) bool { return true })
 	if stats.ZonesPruned < 1 {
 		t.Fatalf("comparison over all-null zone not pruned (pruned=%d)", stats.ZonesPruned)
 	}

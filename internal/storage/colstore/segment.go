@@ -63,8 +63,8 @@ func (c *intColumn) get(i int) types.Value {
 	}
 	return types.NewInt(c.enc.Get(i))
 }
-func (c *intColumn) sizeBytes() int             { return c.enc.SizeBytes() + c.nulls.SizeBytes() }
-func (c *intColumn) nullMask() *types.NullMask  { return c.nulls }
+func (c *intColumn) sizeBytes() int            { return c.enc.SizeBytes() + c.nulls.SizeBytes() }
+func (c *intColumn) nullMask() *types.NullMask { return c.nulls }
 
 // intDictColumn stores int64s as bit-packed codes into an
 // order-preserving int dictionary — chosen over frame-of-reference when
@@ -148,7 +148,7 @@ type Segment struct {
 	cols     []column
 	zones    [][]Zone // zones[col][zone]
 	// summary[col] folds that column's zones into one segment-level
-	// min/max/null-count — the map ScanParallelWorkers consults to skip
+	// min/max/null-count — the map Scan consults to skip
 	// the whole segment before any morsel is dealt or worker woken.
 	summary []Zone
 	// insTS[i] is the commit timestamp of the version merged into row i;

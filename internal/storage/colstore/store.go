@@ -68,66 +68,19 @@ func (st *Store) SizeBytes() int {
 	return sz
 }
 
-// Scan streams matching visible rows from every segment. Stats aggregate
-// across segments.
-func (st *Store) Scan(readTS, self uint64, proj []int, preds []Predicate, fn func(b *types.Batch) bool) ScanStats {
-	return st.scanSegments(nil, fn, func(s *Segment, segFn func(b *types.Batch) bool) ScanStats {
-		return s.Scan(readTS, self, proj, preds, segFn)
-	})
-}
-
-// ScanParallel is Scan with each segment scanned morsel-parallel by up
-// to workers goroutines (see Segment.ScanParallel). fn observes one
-// batch at a time, but the batch is pooled and only valid until fn
-// returns. A non-nil done channel cancels the scan between zones; a
-// cancelled scan stops delivering batches and returns once its workers
-// have exited.
-func (st *Store) ScanParallel(readTS, self uint64, proj []int, preds []Predicate, workers int, done <-chan struct{}, fn func(b *types.Batch) bool) ScanStats {
-	return st.scanSegments(done, fn, func(s *Segment, segFn func(b *types.Batch) bool) ScanStats {
-		return s.ScanParallel(readTS, self, proj, preds, workers, done, segFn)
-	})
-}
-
-// ScanParallelWorkers is the per-worker variant of ScanParallel: each
-// segment is scanned by up to workers goroutines and fn is invoked
-// concurrently with the producing worker's id (no cross-worker funnel;
-// see Segment.ScanParallelWorkers for the contract). Segments run in
-// order; within a segment batch order is not preserved.
-func (st *Store) ScanParallelWorkers(readTS, self uint64, proj []int, preds []Predicate, workers int, done <-chan struct{}, fn func(worker int, b *types.Batch) bool) ScanStats {
+// Scan is Segment.Scan over every segment in order, merging stats and
+// propagating fn's early stop and done-channel cancellation across
+// segments. Within a segment batch order is not preserved.
+func (st *Store) Scan(readTS, self uint64, proj []int, preds []Predicate, workers int, done <-chan struct{}, fn func(worker int, b *types.Batch) bool) ScanStats {
 	var total ScanStats
 	var stop atomic.Bool
 	for _, s := range st.Segments() {
 		if stop.Load() || IsDone(done) {
 			break
 		}
-		stats := s.ScanParallelWorkers(readTS, self, proj, preds, workers, done, func(w int, b *types.Batch) bool {
+		stats := s.Scan(readTS, self, proj, preds, workers, done, func(w int, b *types.Batch) bool {
 			if !fn(w, b) {
 				stop.Store(true)
-				return false
-			}
-			return true
-		})
-		total.Add(stats)
-	}
-	return total
-}
-
-// scanSegments drives scanSeg over every segment in order, merging
-// stats and propagating fn's early stop (and done-channel cancellation)
-// across segments.
-func (st *Store) scanSegments(done <-chan struct{}, fn func(b *types.Batch) bool, scanSeg func(s *Segment, segFn func(b *types.Batch) bool) ScanStats) ScanStats {
-	var total ScanStats
-	stop := false
-	for _, s := range st.Segments() {
-		if stop {
-			break
-		}
-		if IsDone(done) {
-			break
-		}
-		stats := scanSeg(s, func(b *types.Batch) bool {
-			if !fn(b) {
-				stop = true
 				return false
 			}
 			return true
