@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	oadb [-dir path] [-sync group|sync|async|each] [-wal path] [-mode mvcc|2pl] [-demo]
+//	oadb [-dir path] [-sync group|sync|async|each] [-demo]
 //	oadb -connect host:port
 //
 // With -connect the shell runs as a network client of an oadbd server
@@ -41,7 +41,6 @@ import (
 func main() {
 	dir := flag.String("dir", "", "durable data directory (segmented WAL + checkpoints; reopening recovers)")
 	syncMode := flag.String("sync", "group", "commit durability with -dir: group, sync, async, or each")
-	mode := flag.String("mode", "mvcc", "concurrency mode: mvcc or 2pl")
 	demo := flag.Bool("demo", false, "pre-load the CH-benCHmark demo dataset")
 	connect := flag.String("connect", "", "connect to an oadbd server at host:port instead of embedding the engine")
 	flag.Parse()
@@ -51,9 +50,6 @@ func main() {
 	}
 
 	opts := db.Options{Dir: *dir}
-	if strings.EqualFold(*mode, "2pl") {
-		opts.Mode = db.TwoPL
-	}
 	if *dir != "" {
 		sm, err := wal.ParseSyncMode(*syncMode)
 		if err != nil {

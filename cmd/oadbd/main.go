@@ -6,7 +6,7 @@
 // Usage:
 //
 //	oadbd [-listen :4050] [-dir path] [-sync group|sync|async|each]
-//	      [-mode mvcc|2pl] [-workers n] [-max-olap n]
+//	      [-workers n] [-max-olap n]
 //	      [-oltp-queue n] [-olap-queue n]
 //	      [-oltp-queue-timeout d] [-olap-queue-timeout d]
 //	      [-no-lanes] [-max-conns n] [-metrics addr]
@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -39,7 +38,6 @@ func main() {
 	listen := flag.String("listen", ":4050", "wire-protocol listen address")
 	dir := flag.String("dir", "", "durable data directory (segmented WAL + checkpoints; reopening recovers)")
 	syncMode := flag.String("sync", "group", "commit durability with -dir: group, sync, async, or each")
-	mode := flag.String("mode", "mvcc", "concurrency mode: mvcc or 2pl")
 	workers := flag.Int("workers", 0, "statement worker pool size (0 = max(4, GOMAXPROCS))")
 	maxOLAP := flag.Int("max-olap", 0, "max concurrently executing analytic statements (0 = half the workers)")
 	oltpQueue := flag.Int("oltp-queue", 0, "OLTP lane queue depth (0 = default 1024)")
@@ -54,9 +52,6 @@ func main() {
 	flag.Parse()
 
 	opts := db.Options{Dir: *dir}
-	if strings.EqualFold(*mode, "2pl") {
-		opts.Mode = db.TwoPL
-	}
 	if *dir != "" {
 		sm, err := wal.ParseSyncMode(*syncMode)
 		if err != nil {

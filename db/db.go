@@ -34,18 +34,6 @@ import (
 	"repro/internal/types"
 )
 
-// Mode selects the engine's concurrency-control mechanism.
-type Mode = core.ConcurrencyMode
-
-// Concurrency modes.
-const (
-	// MVCC is snapshot isolation via multiversioning (default):
-	// analytic readers never block writers.
-	MVCC = core.ModeMVCC
-	// TwoPL is strict two-phase locking, the classical baseline.
-	TwoPL = core.Mode2PL
-)
-
 // SyncMode selects the WAL durability discipline for Dir-backed
 // databases.
 type SyncMode = core.SyncMode
@@ -69,10 +57,6 @@ const (
 
 // Options configures Open.
 type Options struct {
-	// Mode selects MVCC (default) or TwoPL.
-	Mode Mode
-	// LockTimeout bounds 2PL lock waits (default 100ms).
-	LockTimeout time.Duration
 	// Dir, when set, makes the database durable: a segmented
 	// group-commit WAL and checkpoint files live in this directory, and
 	// Open on an existing directory recovers the previous state (last
@@ -132,8 +116,6 @@ type DB struct {
 // Open creates an engine and returns the database handle.
 func Open(opts Options) (*DB, error) {
 	eng, err := core.NewEngine(core.Options{
-		Mode:              opts.Mode,
-		LockTimeout:       opts.LockTimeout,
 		Dir:               opts.Dir,
 		Sync:              opts.Sync,
 		GroupCommitWindow: opts.GroupCommitWindow,

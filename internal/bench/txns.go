@@ -106,8 +106,8 @@ func (w *Worker) RunOne() error {
 
 // isExpected reports benign concurrency aborts.
 func isExpected(err error) bool {
-	return errors.Is(err, txn.ErrConflict) || errors.Is(err, txn.ErrLockTimeout) ||
-		errors.Is(err, core.ErrNotFound) || errors.Is(err, core.ErrDuplicateKey)
+	return errors.Is(err, txn.ErrConflict) || errors.Is(err, core.ErrNotFound) ||
+		errors.Is(err, core.ErrDuplicateKey)
 }
 
 func (w *Worker) randWD() (int64, int64) {

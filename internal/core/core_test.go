@@ -333,6 +333,90 @@ func TestWriteWriteConflictOnMergedRow(t *testing.T) {
 	t2.Abort()
 }
 
+// TestReadersNeverWaitOnOpenWriter: under snapshot isolation a reader
+// takes no locks. While t1 holds uncommitted updates of a merged row
+// and a delta row, a concurrent reader's Get, ScanCtx and TableScan
+// (both consumption modes) return at once with the old values; a
+// snapshot begun after t1 commits sees the new ones, and the concurrent
+// reader still sees the old ones.
+func TestReadersNeverWaitOnOpenWriter(t *testing.T) {
+	e := newTestEngine(t)
+	mustExec(t, e, func(tx *Tx) error { return tx.Insert("items", row(1, "merged", 10)) })
+	if _, err := e.Merge("items"); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, func(tx *Tx) error { return tx.Insert("items", row(2, "delta", 20)) })
+
+	t1 := e.Begin()
+	if err := t1.Update("items", key(1), row(1, "merged", 11)); err != nil {
+		t.Fatal(err)
+	}
+	if err := t1.Update("items", key(2), row(2, "delta", 21)); err != nil {
+		t.Fatal(err)
+	}
+	t2 := e.Begin()
+	defer t2.Abort()
+	old := map[int64]int64{1: 10, 2: 20}
+	checkReads(t, e, t2, "concurrent reader", old)
+
+	if _, err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	t3 := e.Begin()
+	defer t3.Abort()
+	checkReads(t, e, t3, "snapshot after commit", map[int64]int64{1: 11, 2: 21})
+	checkReads(t, e, t2, "concurrent reader after commit", old)
+}
+
+// checkReads asserts that tx sees exactly want (id → qty) through Get,
+// ScanCtx, TableScan.Next and TableScan.ScanWorkers.
+func checkReads(t *testing.T, e *Engine, tx *Tx, who string, want map[int64]int64) {
+	t.Helper()
+	for id, qty := range want {
+		got, ok, err := tx.Get("items", key(id))
+		if err != nil || !ok || got[2].I != qty {
+			t.Fatalf("%s: Get(%d) = %v %v %v, want qty %d", who, id, got, ok, err, qty)
+		}
+	}
+	var mu sync.Mutex
+	got := map[int64]int64{}
+	add := func(_ int, b *types.Batch) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for i := 0; i < b.Len(); i++ {
+			got[b.Cols[0].Ints[i]] = b.Cols[2].Ints[i]
+		}
+		return true
+	}
+	check := func(via string, err error) {
+		t.Helper()
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: %s = %v, %v; want %v", who, via, got, err, want)
+		}
+		clear(got)
+	}
+
+	_, err := tx.ScanCtx(context.Background(), "items", nil, nil, func(b *types.Batch) bool { return add(0, b) })
+	check("ScanCtx", err)
+
+	ts, err := NewTableScan(e, "items", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	ts.Bind(tx, context.Background())
+	for {
+		b, err := ts.Next()
+		if err != nil || b == nil {
+			check("TableScan.Next", err)
+			break
+		}
+		add(0, b)
+	}
+	ts.Bind(tx, context.Background())
+	check("TableScan.ScanWorkers", ts.ScanWorkers(0, add))
+}
+
 func TestAbortRestoresMergedRow(t *testing.T) {
 	e := newTestEngine(t)
 	mustExec(t, e, func(tx *Tx) error { return tx.Insert("items", row(1, "a", 7)) })
@@ -562,37 +646,6 @@ func TestAutoMerge(t *testing.T) {
 	if n := e.AutoMergeAll(); n != 0 {
 		t.Fatal("auto-merge should respect threshold")
 	}
-}
-
-func TestEngine2PLMode(t *testing.T) {
-	e, err := NewEngine(Options{Mode: Mode2PL, LockTimeout: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.CreateTable("items", testSchema())
-	if e.Mode().String() != "2PL" {
-		t.Fatal("mode")
-	}
-	mustExec(t, e, func(tx *Tx) error { return tx.Insert("items", row(1, "a", 1)) })
-	// Writer blocks readers under 2PL (unlike MVCC).
-	t1 := e.Begin()
-	if err := t1.Update("items", key(1), row(1, "a", 2)); err != nil {
-		t.Fatal(err)
-	}
-	t2 := e.Begin()
-	_, _, err = t2.Get("items", key(1))
-	if !errors.Is(err, txn.ErrLockTimeout) {
-		t.Fatalf("2PL read under write lock: %v", err)
-	}
-	t2.Abort()
-	t1.Commit()
-	// After release reads flow again.
-	t3 := e.Begin()
-	if _, ok, err := t3.Get("items", key(1)); err != nil || !ok {
-		t.Fatalf("post-release read: %v %v", ok, err)
-	}
-	t3.Abort()
 }
 
 func TestMergeEmptyDelta(t *testing.T) {

@@ -17,25 +17,6 @@ import (
 	"repro/internal/wal"
 )
 
-// ConcurrencyMode selects the transaction mechanism.
-type ConcurrencyMode int
-
-// Concurrency modes: MVCC snapshot isolation (the tutorial's
-// HANA/BLU/DBIM model) or strict two-phase locking (the classical
-// baseline E4/E5 compare against).
-const (
-	ModeMVCC ConcurrencyMode = iota
-	Mode2PL
-)
-
-// String names the mode.
-func (m ConcurrencyMode) String() string {
-	if m == Mode2PL {
-		return "2PL"
-	}
-	return "MVCC"
-}
-
 // Errors returned by the engine.
 var (
 	ErrNoSuchTable  = errors.New("core: no such table")
@@ -57,10 +38,6 @@ const (
 
 // Options configures an Engine.
 type Options struct {
-	// Mode selects MVCC (default) or 2PL.
-	Mode ConcurrencyMode
-	// LockTimeout bounds 2PL lock waits (default 100ms).
-	LockTimeout time.Duration
 	// Dir, when set, enables full durability: a segmented group-commit
 	// WAL plus checkpoints live in this directory, and opening an
 	// existing directory recovers the database (last checkpoint + WAL
@@ -97,7 +74,6 @@ type Options struct {
 // Engine is the oadms database engine.
 type Engine struct {
 	oracle *txn.Oracle
-	locks  *txn.LockManager
 	opts   Options
 
 	mu     sync.RWMutex
@@ -146,9 +122,6 @@ type Engine struct {
 
 // NewEngine creates an engine.
 func NewEngine(opts Options) (*Engine, error) {
-	if opts.LockTimeout <= 0 {
-		opts.LockTimeout = 100 * time.Millisecond
-	}
 	if opts.MergeThreshold <= 0 {
 		opts.MergeThreshold = 64 << 10
 	}
@@ -157,7 +130,6 @@ func NewEngine(opts Options) (*Engine, error) {
 	}
 	e := &Engine{
 		oracle:   txn.NewOracle(),
-		locks:    txn.NewLockManager(opts.LockTimeout),
 		opts:     opts,
 		tables:   make(map[string]*Table),
 		creating: make(map[string]bool),
@@ -213,9 +185,6 @@ func (e *Engine) fatalErr() error {
 
 // Oracle exposes the timestamp oracle.
 func (e *Engine) Oracle() *txn.Oracle { return e.oracle }
-
-// Mode returns the concurrency mode.
-func (e *Engine) Mode() ConcurrencyMode { return e.opts.Mode }
 
 // Parallelism returns the effective analytic worker count (Options
 // normalized: <= 0 resolved to GOMAXPROCS at engine creation). The SQL
@@ -491,19 +460,6 @@ func (t *Tx) enterWrite(tbl *Table) {
 	t.inner.OnAbort(func() { tbl.activeWriters.Add(-1) })
 }
 
-// lock2PLWrite acquires the 2PL locks for writing key in tbl: intention
-// exclusive on the table (conflicts with table-scan shared locks) and
-// exclusive on the key. No-op in MVCC mode.
-func (t *Tx) lock2PLWrite(tbl *Table, key types.Row) error {
-	if t.engine.opts.Mode != Mode2PL {
-		return nil
-	}
-	if err := t.engine.locks.LockIntentionExclusive(t.inner, tbl.name, tableLockKey); err != nil {
-		return err
-	}
-	return t.engine.locks.LockExclusive(t.inner, tbl.name, key)
-}
-
 // logWrite buffers a WAL record if logging is enabled. Recovery
 // replays suspend logging: re-appending replayed records would grow
 // the live log on every restart.
@@ -528,9 +484,6 @@ func (t *Tx) insertTable(tbl *Table, row types.Row) error {
 		return err
 	}
 	t.enterWrite(tbl)
-	if err := t.lock2PLWrite(tbl, tbl.schema.KeyOf(row)); err != nil {
-		return err
-	}
 	key := tbl.schema.KeyOf(row)
 	tbl.storageMu.RLock()
 	blocked := tbl.cold.FindBlocking(key, t.inner.ReadTS, t.inner.ID)
@@ -559,9 +512,6 @@ func (t *Tx) Update(table string, key types.Row, newRow types.Row) error {
 		return fmt.Errorf("core: update must preserve the primary key")
 	}
 	t.enterWrite(tbl)
-	if err := t.lock2PLWrite(tbl, key); err != nil {
-		return err
-	}
 	// Try the delta first; fall back to invalidating the merged copy.
 	err = tbl.delta.Update(t.inner, key, newRow)
 	if errors.Is(err, rowstore.ErrNotFound) {
@@ -592,9 +542,6 @@ func (t *Tx) Delete(table string, key types.Row) error {
 		return err
 	}
 	t.enterWrite(tbl)
-	if err := t.lock2PLWrite(tbl, key); err != nil {
-		return err
-	}
 	err = tbl.delta.Delete(t.inner, key)
 	if errors.Is(err, rowstore.ErrNotFound) {
 		tbl.storageMu.RLock()
@@ -621,11 +568,6 @@ func (t *Tx) Get(table string, key types.Row) (types.Row, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	if t.engine.opts.Mode == Mode2PL {
-		if err := t.engine.locks.LockShared(t.inner, tbl.name, key); err != nil {
-			return nil, false, err
-		}
-	}
 	tbl.storageMu.RLock()
 	defer tbl.storageMu.RUnlock()
 	if row, ok := tbl.delta.GetAt(key, t.inner.ReadTS, t.inner.ID); ok {
@@ -639,22 +581,16 @@ func (t *Tx) Get(table string, key types.Row) (types.Row, bool, error) {
 
 // ScanCtx streams every visible row of the table — column segments
 // (morsel-parallel at the engine's configured parallelism), then the
-// delta — under one consistent snapshot. fn observes one batch at a
-// time: ScanCtx funnels the concurrent morsel workers through a mutex,
-// so fn needs no synchronization of its own. Every batch is transient,
-// valid only until fn returns; retainers must Batch.Copy it.
+// delta — under one consistent snapshot. The scan takes no row or table
+// locks, so it never waits on an open writer. fn observes one batch at
+// a time: ScanCtx funnels the concurrent morsel workers through a
+// mutex, so fn needs no synchronization of its own. Every batch is
+// transient, valid only until fn returns; retainers must Batch.Copy it.
 //
 // When ctx is cancelled the scan stops within one batch/zone boundary —
 // morsel workers observe ctx.Done() between zones and exit before
 // ScanCtx returns — and the error is ctx.Err(). A nil ctx never
 // cancels.
-//
-// In 2PL mode the scan takes a shared lock on the whole table (strict
-// S2PL at coarse granularity — the classical behaviour the tutorial's
-// multiversioned systems eliminate): analytic readers block behind
-// writers and vice versa, which is exactly what E4/E5 measure. Locks
-// held by the transaction are NOT released here; abort or commit the
-// transaction to release them.
 func (t *Tx) ScanCtx(ctx context.Context, table string, proj []int, preds []colstore.Predicate, fn func(b *types.Batch) bool) (colstore.ScanStats, error) {
 	tbl, err := t.engine.Table(table)
 	if err != nil {
@@ -668,7 +604,7 @@ func (t *Tx) ScanCtx(ctx context.Context, table string, proj []int, preds []cols
 		mu      sync.Mutex
 		stopped bool
 	)
-	stats, err := t.scan(tbl, proj, preds, t.engine.opts.Parallelism, done, func(_ int, b *types.Batch) bool {
+	stats := t.scan(tbl, proj, preds, t.engine.opts.Parallelism, done, func(_ int, b *types.Batch) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		if stopped || !fn(b) {
@@ -677,37 +613,21 @@ func (t *Tx) ScanCtx(ctx context.Context, table string, proj []int, preds []cols
 		}
 		return true
 	})
-	if err == nil && ctx != nil {
-		err = ctx.Err()
+	if ctx != nil {
+		return stats, ctx.Err()
 	}
-	return stats, err
+	return stats, nil
 }
 
-// scan takes the 2PL table lock and runs scanTable at t's snapshot;
-// workers <= 0 uses the engine's configured parallelism. It is shared by
-// ScanCtx and both TableScan consumption modes.
-func (t *Tx) scan(tbl *Table, proj []int, preds []colstore.Predicate, workers int, done <-chan struct{}, fn func(worker int, b *types.Batch) bool) (colstore.ScanStats, error) {
-	if err := t.lockTableShared(tbl); err != nil {
-		return colstore.ScanStats{}, err
-	}
+// scan runs scanTable at t's snapshot; workers <= 0 uses the engine's
+// configured parallelism. It is shared by ScanCtx and both TableScan
+// consumption modes.
+func (t *Tx) scan(tbl *Table, proj []int, preds []colstore.Predicate, workers int, done <-chan struct{}, fn func(worker int, b *types.Batch) bool) colstore.ScanStats {
 	if workers <= 0 {
 		workers = t.engine.opts.Parallelism
 	}
-	return scanTable(tbl, t.inner.ReadTS, t.inner.ID, proj, preds, workers, done, fn), nil
+	return scanTable(tbl, t.inner.ReadTS, t.inner.ID, proj, preds, workers, done, fn)
 }
-
-// lockTableShared takes the 2PL table-granularity shared lock (no-op in
-// MVCC mode).
-func (t *Tx) lockTableShared(tbl *Table) error {
-	if t.engine.opts.Mode != Mode2PL {
-		return nil
-	}
-	return t.engine.locks.LockShared(t.inner, tbl.name, tableLockKey)
-}
-
-// tableLockKey is the pseudo-key used for table-granularity locks in
-// 2PL mode.
-var tableLockKey = types.Row{types.NewString("\x00table")}
 
 // scanTable is the one scan driver: it unions the column store and the
 // delta at one snapshot. Cold-store batches are delivered concurrently

@@ -58,7 +58,6 @@ type TableScan struct {
 // scanRun is the per-execution state of one producer goroutine.
 type scanRun struct {
 	ch       chan *types.Batch
-	errc     chan error
 	done     chan struct{} // closed to cancel the producer
 	finished chan struct{} // closed when the producer has exited
 	once     sync.Once
@@ -135,14 +134,7 @@ func (t *TableScan) Next() (*types.Batch, error) {
 		if ok {
 			return b, nil
 		}
-		// Producer finished: surface a scan error (2PL lock timeout) or
-		// the cancellation that stopped it.
-		select {
-		case err := <-t.run.errc:
-			t.err = err
-			return nil, err
-		default:
-		}
+		// Producer finished: surface the cancellation that stopped it.
 		if t.ctx != nil && t.ctx.Err() != nil {
 			t.err = t.ctx.Err()
 			return nil, t.err
@@ -159,7 +151,6 @@ func (t *TableScan) Next() (*types.Batch, error) {
 func (t *TableScan) start() {
 	run := &scanRun{
 		ch:       make(chan *types.Batch, 1),
-		errc:     make(chan error, 1),
 		done:     make(chan struct{}),
 		finished: make(chan struct{}),
 	}
@@ -186,7 +177,7 @@ func (t *TableScan) start() {
 		// Batches are transient (valid only during the callback):
 		// detach each before it crosses the channel. The channel send
 		// already serializes the workers, so no funnel is needed.
-		stats, err := tx.scan(t.tbl, t.proj, t.preds, t.engine.opts.Parallelism, run.done, func(_ int, b *types.Batch) bool {
+		t.Stats = tx.scan(t.tbl, t.proj, t.preds, t.engine.opts.Parallelism, run.done, func(_ int, b *types.Batch) bool {
 			select {
 			case run.ch <- b.Copy():
 				return true
@@ -194,11 +185,6 @@ func (t *TableScan) start() {
 				return false
 			}
 		})
-		if err != nil {
-			run.errc <- err
-			return
-		}
-		t.Stats = stats
 	}()
 }
 
@@ -262,11 +248,7 @@ func (t *TableScan) ScanWorkers(workers int, fn func(worker int, b *types.Batch)
 	if t.ctx != nil {
 		done = t.ctx.Done()
 	}
-	stats, err := t.tx.scan(t.tbl, t.proj, t.preds, workers, done, fn)
-	if err != nil {
-		return err
-	}
-	t.Stats = stats
+	t.Stats = t.tx.scan(t.tbl, t.proj, t.preds, workers, done, fn)
 	if t.ctx != nil {
 		return t.ctx.Err()
 	}

@@ -399,42 +399,34 @@ func TestServerMidResultsetDisconnect(t *testing.T) {
 }
 
 func TestServerBusyAndQueueTimeout(t *testing.T) {
-	// One worker, tiny OLTP queue, long 2PL lock waits: a lock-blocked
-	// statement pins the worker deterministically so queueing behavior
-	// is observable without sleeps in the server.
-	ts := startServer(t,
-		db.Options{Mode: db.TwoPL, LockTimeout: 20 * time.Second},
+	// One worker, tiny OLTP queue: a pinned task occupies the only
+	// worker deterministically so queueing behavior is observable
+	// without sleeps in the server.
+	ts := startServer(t, db.Options{},
 		server.Config{Workers: 1, OLTPQueueDepth: 1, OLAPQueueDepth: 1,
 			OLTPQueueTimeout: 300 * time.Millisecond})
-	holder := dial(t, ts.addr)
-	defer holder.Close()
-	mustExec(t, holder, "CREATE TABLE t (a INT, b INT, PRIMARY KEY (a))")
-	mustExec(t, holder, "INSERT INTO t (a, b) VALUES (1, 0)")
+	c := dial(t, ts.addr)
+	defer c.Close()
+	mustExec(t, c, "CREATE TABLE t (a INT, b INT, PRIMARY KEY (a))")
+	mustExec(t, c, "INSERT INTO t (a, b) VALUES (1, 0)")
 
-	// holder takes the row lock and keeps it.
-	mustExec(t, holder, "BEGIN")
-	mustExec(t, holder, "UPDATE t SET b = 1 WHERE a = 1")
-
-	// blocked occupies the only worker, waiting on holder's lock. Each
-	// background statement's goroutine owns its connection and closes it
-	// when done, so no Close races a send on the same conn.
-	blocked := dial(t, ts.addr)
-	blockedErr := make(chan error, 1)
-	go func() {
-		defer blocked.Close()
-		_, err := blocked.Exec("UPDATE t SET b = 2 WHERE a = 1")
-		blockedErr <- err
-	}()
+	release, err := ts.srv.PinWorker(sched.OLTP)
+	if err != nil {
+		t.Fatalf("pin worker: %v", err)
+	}
+	defer release()
 	waitFor(t, 10*time.Second, "worker occupied", func() bool {
 		st := ts.srv.SchedStats(sched.OLTP)
-		// CREATE + INSERT + holder's UPDATE completed; blocked UPDATE
-		// popped off the queue by the only worker and stuck on the lock.
-		return st.Submitted == 4 && st.Completed == 3 && ts.srv.QueueLen(sched.OLTP) == 0
+		// CREATE + INSERT completed; the pin popped off the queue by
+		// the only worker and holding it.
+		return st.Submitted == 3 && st.Completed == 2 && ts.srv.QueueLen(sched.OLTP) == 0
 	})
 
 	// queued waits in the depth-1 OLTP queue until the 300ms queue
 	// timeout abandons it. An abandoned task keeps its slot until a
-	// worker pops it, and the only worker is pinned.
+	// worker pops it, and the only worker is pinned. The background
+	// goroutine owns its connection and closes it when done, so no
+	// Close races a send on the same conn.
 	queued := dial(t, ts.addr)
 	queuedErr := make(chan error, 1)
 	go func() {
@@ -464,16 +456,13 @@ func TestServerBusyAndQueueTimeout(t *testing.T) {
 		t.Fatal("queued statement never resolved")
 	}
 
-	// Release the lock; the pinned statement completes normally.
-	mustExec(t, holder, "ROLLBACK")
-	select {
-	case err := <-blockedErr:
-		if err != nil {
-			t.Fatalf("blocked statement after lock release: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("blocked statement never resolved")
-	}
+	// Unpin the worker; once it pops the abandoned task off the queue,
+	// statements flow again.
+	release()
+	waitFor(t, 10*time.Second, "abandoned task popped", func() bool {
+		return ts.srv.QueueLen(sched.OLTP) == 0
+	})
+	mustExec(t, c, "UPDATE t SET b = 5 WHERE a = 1")
 }
 
 func TestServerConnLimit(t *testing.T) {

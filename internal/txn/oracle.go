@@ -1,7 +1,9 @@
-// Package txn implements the transaction machinery of the engine:
-// a timestamp oracle, multi-version concurrency control with snapshot
-// isolation (the DB2 BLU / HANA / DBIM model the tutorial describes), and
-// a two-phase-locking baseline for comparison.
+// Package txn implements the transaction machinery of the engine: a
+// timestamp oracle and multi-version concurrency control with snapshot
+// isolation (the DB2 BLU / HANA / DBIM model the tutorial describes).
+// Snapshot isolation is the engine's only concurrency control: readers
+// take no locks, and write-write conflicts are first-updater-wins
+// (ErrConflict).
 //
 // Timestamp convention (Hekaton-style): the oracle hands out commit
 // timestamps from a monotone counter. Transaction ids live in a disjoint

@@ -54,8 +54,6 @@ type Txn struct {
 	status   atomic.Int32
 	onCommit []func(commitTS uint64)
 	onAbort  []func()
-	// locks released at the end of the transaction (2PL mode).
-	unlockers []func()
 }
 
 // Status returns the transaction state.
@@ -69,13 +67,9 @@ func (t *Txn) OnCommit(fn func(commitTS uint64)) { t.onCommit = append(t.onCommi
 // OnAbort registers a hook to undo a provisional write.
 func (t *Txn) OnAbort(fn func()) { t.onAbort = append(t.onAbort, fn) }
 
-// AddUnlocker registers a lock release to run at transaction end (commit
-// or abort) — strict two-phase locking.
-func (t *Txn) AddUnlocker(fn func()) { t.unlockers = append(t.unlockers, fn) }
-
 // Commit finalizes the transaction: it picks the next commit
 // timestamp, stamps every provisional write, publishes the timestamp,
-// releases locks, and unregisters from the oracle. Publication happens
+// and unregisters from the oracle. Publication happens
 // after stamping, under the oracle's commit mutex, so a snapshot sees
 // all of a commit's writes or none of them.
 func (t *Txn) Commit() (uint64, error) {
@@ -90,7 +84,6 @@ func (t *Txn) Commit() (uint64, error) {
 	}
 	o.commitTS.Store(ts)
 	o.commitMu.Unlock()
-	t.releaseLocks()
 	o.finish(t.ID)
 	return ts, nil
 }
@@ -104,16 +97,8 @@ func (t *Txn) Abort() error {
 	for i := len(t.onAbort) - 1; i >= 0; i-- {
 		t.onAbort[i]()
 	}
-	t.releaseLocks()
 	t.oracle.finish(t.ID)
 	return nil
-}
-
-func (t *Txn) releaseLocks() {
-	for i := len(t.unlockers) - 1; i >= 0; i-- {
-		t.unlockers[i]()
-	}
-	t.unlockers = nil
 }
 
 // VisibleBegin reports whether a version whose begin field is b is

@@ -1,13 +1,6 @@
 package txn
 
-import (
-	"sync"
-	"sync/atomic"
-	"testing"
-	"time"
-
-	"repro/internal/types"
-)
+import "testing"
 
 func TestOracleBeginAssignsSnapshot(t *testing.T) {
 	o := NewOracle()
@@ -158,112 +151,5 @@ func TestVisibilityRules(t *testing.T) {
 func TestStatusString(t *testing.T) {
 	if StatusActive.String() != "active" || StatusCommitted.String() != "committed" || StatusAborted.String() != "aborted" {
 		t.Error("Status.String")
-	}
-}
-
-func key(s string) types.Row { return types.Row{types.NewString(s)} }
-
-func TestLockSharedConcurrentReaders(t *testing.T) {
-	o := NewOracle()
-	lm := NewLockManager(time.Second)
-	t1, t2 := o.Begin(), o.Begin()
-	if err := lm.LockShared(t1, "t", key("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := lm.LockShared(t2, "t", key("a")); err != nil {
-		t.Fatal("second reader must not block:", err)
-	}
-	t1.Commit()
-	t2.Commit()
-}
-
-func TestLockExclusiveBlocksReaders(t *testing.T) {
-	o := NewOracle()
-	lm := NewLockManager(50 * time.Millisecond)
-	t1, t2 := o.Begin(), o.Begin()
-	if err := lm.LockExclusive(t1, "t", key("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := lm.LockShared(t2, "t", key("a")); err != ErrLockTimeout {
-		t.Fatalf("reader under writer: %v, want timeout", err)
-	}
-	t1.Commit() // releases
-	t3 := o.Begin()
-	if err := lm.LockShared(t3, "t", key("a")); err != nil {
-		t.Fatal("lock must be free after commit:", err)
-	}
-	t2.Abort()
-	t3.Commit()
-}
-
-func TestLockReleaseUnblocksWaiter(t *testing.T) {
-	o := NewOracle()
-	lm := NewLockManager(2 * time.Second)
-	t1 := o.Begin()
-	if err := lm.LockExclusive(t1, "t", key("a")); err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan error, 1)
-	go func() {
-		t2 := o.Begin()
-		err := lm.LockExclusive(t2, "t", key("a"))
-		t2.Commit()
-		got <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	t1.Commit()
-	if err := <-got; err != nil {
-		t.Fatalf("waiter should acquire after release: %v", err)
-	}
-}
-
-func TestLockUpgrade(t *testing.T) {
-	o := NewOracle()
-	lm := NewLockManager(100 * time.Millisecond)
-	t1 := o.Begin()
-	if err := lm.LockShared(t1, "t", key("a")); err != nil {
-		t.Fatal(err)
-	}
-	// Sole reader can upgrade.
-	if err := lm.LockExclusive(t1, "t", key("a")); err != nil {
-		t.Fatalf("upgrade failed: %v", err)
-	}
-	// Re-entrant exclusive is a no-op.
-	if err := lm.LockExclusive(t1, "t", key("a")); err != nil {
-		t.Fatal(err)
-	}
-	t1.Commit()
-}
-
-func TestLockDeadlockResolvedByTimeout(t *testing.T) {
-	o := NewOracle()
-	lm := NewLockManager(50 * time.Millisecond)
-	t1, t2 := o.Begin(), o.Begin()
-	lm.LockExclusive(t1, "t", key("a"))
-	lm.LockExclusive(t2, "t", key("b"))
-	var wg sync.WaitGroup
-	var timeouts atomic.Int32
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		if err := lm.LockExclusive(t1, "t", key("b")); err == ErrLockTimeout {
-			timeouts.Add(1)
-			t1.Abort()
-		} else {
-			t1.Commit()
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		if err := lm.LockExclusive(t2, "t", key("a")); err == ErrLockTimeout {
-			timeouts.Add(1)
-			t2.Abort()
-		} else {
-			t2.Commit()
-		}
-	}()
-	wg.Wait()
-	if timeouts.Load() == 0 {
-		t.Fatal("deadlock should resolve via at least one timeout")
 	}
 }
