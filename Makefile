@@ -21,12 +21,13 @@ lint: vet
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "govulncheck not installed; skipping (CI runs it pinned)"; fi
 
 # Race-enabled run of the packages with internal concurrency
-# (morsel-parallel scans, txn machinery, group-commit WAL,
-# the public db cursor layer, the network server and its scheduler).
+# (morsel-parallel scans, the MVCC row store and its skip list, txn
+# machinery, group-commit WAL, the public db cursor layer, the network
+# server and its scheduler).
 # This list is canonical: CI runs this target rather than maintaining
 # its own copy.
 race:
-	go test -race ./db ./internal/storage/colstore ./internal/exec/... ./internal/core ./internal/types ./internal/sql ./internal/txn ./internal/wal ./internal/sched ./internal/server ./internal/wire ./client
+	go test -race ./db ./internal/storage/colstore ./internal/storage/rowstore ./internal/index ./internal/exec/... ./internal/core ./internal/types ./internal/sql ./internal/txn ./internal/wal ./internal/sched ./internal/server ./internal/wire ./client
 
 # Durability gauntlet: the kill-and-recover fault matrix, torn-tail
 # property tests, and crash-recovery round trips, race-enabled.

@@ -1,122 +1,16 @@
 package repro
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/index"
-	"repro/internal/types"
 )
 
 // Ablation benches isolate individual design choices the architecture
 // depends on (complementing the E-series in bench_test.go, which measures
 // end-to-end claims).
-
-// AblationIndex: the row store's skip list vs a B+-tree vs a hash index
-// for the point lookups that dominate OLTP (MemSQL's skip-list argument
-// [26] is that lock-free point performance justifies the layout).
-func BenchmarkAblation_IndexPointLookup(b *testing.B) {
-	const n = 100_000
-	keys := make([]types.Row, n)
-	for i := range keys {
-		keys[i] = types.Row{types.NewInt(int64(i))}
-	}
-	b.Run("skiplist", func(b *testing.B) {
-		sl := index.NewSkipList[int64]()
-		for i := range keys {
-			v := int64(i)
-			sl.GetOrInsert(keys[i], &v)
-		}
-		rng := rand.New(rand.NewSource(1))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if sl.Get(keys[rng.Intn(n)]) == nil {
-				b.Fatal("miss")
-			}
-		}
-	})
-	b.Run("btree", func(b *testing.B) {
-		bt := index.NewBTree()
-		for i := range keys {
-			bt.Set(keys[i], int64(i))
-		}
-		rng := rand.New(rand.NewSource(1))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok := bt.Get(keys[rng.Intn(n)]); !ok {
-				b.Fatal("miss")
-			}
-		}
-	})
-	b.Run("hash", func(b *testing.B) {
-		h := index.NewHashIndex()
-		for i := range keys {
-			h.Add(keys[i], int64(i))
-		}
-		rng := rand.New(rand.NewSource(1))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if h.Lookup(keys[rng.Intn(n)]) == nil {
-				b.Fatal("miss")
-			}
-		}
-	})
-}
-
-// AblationSecondaryIndex: point query through a secondary index vs a
-// full scan — the access-path choice the tutorial lists first among its
-// dimensions.
-func BenchmarkAblation_SecondaryIndexVsScan(b *testing.B) {
-	e, _ := core.NewEngine(core.Options{})
-	defer e.Close()
-	schema := types.MustSchema([]types.Column{
-		{Name: "id", Type: types.Int64},
-		{Name: "cat", Type: types.String},
-	}, "id")
-	e.CreateTable("t", schema)
-	tx := e.Begin()
-	for i := 0; i < 100_000; i++ {
-		tx.Insert("t", types.Row{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("cat-%d", i%1000))})
-	}
-	tx.Commit()
-	e.Merge("t")
-	if err := e.CreateIndex("t", "by_cat", []string{"cat"}, true); err != nil {
-		b.Fatal(err)
-	}
-	target := types.Row{types.NewString("cat-500")}
-	b.Run("index-lookup", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tx := e.Begin()
-			rows, err := tx.LookupByIndex("t", "by_cat", target)
-			tx.Abort()
-			if err != nil || len(rows) != 100 {
-				b.Fatalf("rows=%d err=%v", len(rows), err)
-			}
-		}
-	})
-	b.Run("full-scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tx := e.Begin()
-			n := 0
-			tx.ScanCtx(context.Background(), "t", nil, nil, func(batch *types.Batch) bool {
-				for r := 0; r < batch.Len(); r++ {
-					if batch.Row(r)[1].S == "cat-500" {
-						n++
-					}
-				}
-				return true
-			})
-			tx.Abort()
-			if n != 100 {
-				b.Fatalf("n=%d", n)
-			}
-		}
-	})
-}
 
 // AblationDictScan: evaluating a string predicate in the code domain
 // (order-preserving dictionary) vs decoding every value first — the

@@ -160,7 +160,7 @@ func BenchmarkE1_PointLookup_ColumnStore(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// E2 — Compression trade-offs: dictionary, RLE, bit-packing, FOR.
+// E2 — Compression trade-offs: dictionary, bit-packing, FOR.
 // (Tutorial §3: [15, 42].)
 // ---------------------------------------------------------------------
 
@@ -186,13 +186,6 @@ func benchScanEncoded(b *testing.B, vals []uint64, enc string) {
 			p.ScanRange(10, 20, nil)
 		}
 		b.ReportMetric(float64(p.SizeBytes())/float64(len(vals)), "bytes/val")
-	case "rle":
-		r := compress.RLEEncode(vals)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.ScanRange(10, 20, nil)
-		}
-		b.ReportMetric(float64(r.SizeBytes())/float64(len(vals)), "bytes/val")
 	case "raw":
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -216,7 +209,7 @@ func BenchmarkE2_Scan(b *testing.B) {
 				order = "sorted"
 			}
 			vals := e2Data(card, sorted)
-			for _, enc := range []string{"raw", "bitpack", "rle"} {
+			for _, enc := range []string{"raw", "bitpack"} {
 				b.Run(fmt.Sprintf("card=%d/%s/%s", card, order, enc), func(b *testing.B) {
 					benchScanEncoded(b, vals, enc)
 				})

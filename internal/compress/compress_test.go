@@ -185,77 +185,6 @@ func TestPackSizeBytes(t *testing.T) {
 	}
 }
 
-func TestRLERoundTrip(t *testing.T) {
-	vals := []uint64{7, 7, 7, 1, 1, 9, 7, 7}
-	r := RLEEncode(vals)
-	if r.Len() != len(vals) {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	if r.Runs() != 4 {
-		t.Fatalf("Runs = %d, want 4", r.Runs())
-	}
-	if got := r.Decode(nil); !reflect.DeepEqual(got, vals) {
-		t.Errorf("Decode = %v", got)
-	}
-	for i, want := range vals {
-		if got := r.Get(i); got != want {
-			t.Errorf("Get(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
-func TestRLEEmpty(t *testing.T) {
-	r := RLEEncode(nil)
-	if r.Len() != 0 || r.Runs() != 0 {
-		t.Error("empty RLE")
-	}
-	if got := r.Decode(nil); len(got) != 0 {
-		t.Error("empty Decode")
-	}
-}
-
-func TestRLEScans(t *testing.T) {
-	vals := []uint64{3, 3, 8, 8, 8, 2}
-	r := RLEEncode(vals)
-	if got := r.ScanEq(8, nil); !reflect.DeepEqual(got, []int{2, 3, 4}) {
-		t.Errorf("ScanEq = %v", got)
-	}
-	if got := r.ScanRange(3, 9, nil); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
-		t.Errorf("ScanRange = %v", got)
-	}
-}
-
-func TestRLEQuick(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		vals := make([]uint64, len(raw))
-		for i, v := range raw {
-			vals[i] = uint64(v % 4) // force runs
-		}
-		r := RLEEncode(vals)
-		return reflect.DeepEqual(r.Decode(nil), vals)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRLECompressionOnSorted(t *testing.T) {
-	vals := make([]uint64, 10000)
-	for i := range vals {
-		vals[i] = uint64(i / 1000) // 10 runs
-	}
-	r := RLEEncode(vals)
-	if r.Runs() != 10 {
-		t.Errorf("Runs = %d, want 10", r.Runs())
-	}
-	if r.SizeBytes() >= len(vals)*8 {
-		t.Error("RLE on sorted data should compress")
-	}
-}
-
 func TestFORRoundTrip(t *testing.T) {
 	vals := []int64{1000, 1005, 999, 1100, 1000}
 	f := FOREncode(vals)

@@ -1,7 +1,7 @@
 // Package compress implements the columnar encodings the tutorial
 // attributes to HANA, DB2 BLU, and Oracle Database In-Memory: an
-// order-preserving dictionary, run-length encoding, fixed-width
-// bit-packing, and frame-of-reference integer coding.
+// order-preserving dictionary, fixed-width bit-packing, and
+// frame-of-reference integer coding.
 //
 // All encoders are deterministic and all codecs round-trip exactly; the
 // property tests in this package check both. Encoded forms are designed

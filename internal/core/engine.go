@@ -494,7 +494,6 @@ func (t *Tx) insertTable(tbl *Table, row types.Row) error {
 	if err := tbl.delta.Insert(t.inner, row); err != nil {
 		return err
 	}
-	t.maintainIndexes(tbl, row)
 	t.logWrite(wal.KindInsert, tbl.name, row)
 	return nil
 }
@@ -530,7 +529,6 @@ func (t *Tx) Update(table string, key types.Row, newRow types.Row) error {
 	if err != nil {
 		return err
 	}
-	t.maintainIndexes(tbl, newRow)
 	t.logWrite(wal.KindUpdate, tbl.name, newRow)
 	return nil
 }

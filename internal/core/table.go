@@ -37,10 +37,6 @@ type Table struct {
 	// + delta-truncate switch at the end of a merge.
 	storageMu sync.RWMutex
 
-	// idxMu guards the secondary-index list.
-	idxMu   sync.RWMutex
-	indexes []*SecondaryIndex
-
 	// stats
 	merges atomic.Int64
 	// scanMu guards scanStats, the cumulative pruning counters folded in

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/types"
 )
@@ -208,182 +207,5 @@ func TestSkipListCompositeKeys(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("composite order got %v", got)
 		}
-	}
-}
-
-func TestBTreeSetGet(t *testing.T) {
-	bt := NewBTree()
-	perm := rand.New(rand.NewSource(3)).Perm(2000)
-	for _, i := range perm {
-		bt.Set(intKey(int64(i)), int64(i*7))
-	}
-	if bt.Len() != 2000 {
-		t.Fatalf("Len = %d", bt.Len())
-	}
-	for i := 0; i < 2000; i++ {
-		v, ok := bt.Get(intKey(int64(i)))
-		if !ok || v != int64(i*7) {
-			t.Fatalf("Get(%d) = %d, %v", i, v, ok)
-		}
-	}
-	if _, ok := bt.Get(intKey(99999)); ok {
-		t.Error("absent key found")
-	}
-}
-
-func TestBTreeUpdate(t *testing.T) {
-	bt := NewBTree()
-	bt.Set(intKey(5), 1)
-	bt.Set(intKey(5), 2)
-	if bt.Len() != 1 {
-		t.Fatalf("update should not grow tree: Len = %d", bt.Len())
-	}
-	if v, _ := bt.Get(intKey(5)); v != 2 {
-		t.Fatal("update not applied")
-	}
-}
-
-func TestBTreeAscend(t *testing.T) {
-	bt := NewBTree()
-	for i := 0; i < 100; i++ {
-		bt.Set(intKey(int64(i)), int64(i))
-	}
-	var got []int64
-	bt.Ascend(intKey(10), intKey(20), func(k types.Row, v int64) bool {
-		got = append(got, v)
-		return true
-	})
-	if len(got) != 10 || got[0] != 10 || got[9] != 19 {
-		t.Fatalf("Ascend [10,20) = %v", got)
-	}
-	got = got[:0]
-	bt.Ascend(nil, nil, func(k types.Row, v int64) bool {
-		got = append(got, v)
-		return true
-	})
-	if len(got) != 100 {
-		t.Fatalf("full Ascend = %d keys", len(got))
-	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Error("Ascend not sorted")
-	}
-	// Early stop.
-	n := 0
-	bt.Ascend(nil, nil, func(k types.Row, v int64) bool {
-		n++
-		return n < 5
-	})
-	if n != 5 {
-		t.Errorf("early stop visited %d", n)
-	}
-}
-
-func TestBTreeDelete(t *testing.T) {
-	bt := NewBTree()
-	for i := 0; i < 500; i++ {
-		bt.Set(intKey(int64(i)), int64(i))
-	}
-	for i := 0; i < 500; i += 2 {
-		if !bt.Delete(intKey(int64(i))) {
-			t.Fatalf("Delete(%d) failed", i)
-		}
-	}
-	if bt.Delete(intKey(0)) {
-		t.Error("double delete should fail")
-	}
-	if bt.Len() != 250 {
-		t.Fatalf("Len = %d", bt.Len())
-	}
-	for i := 0; i < 500; i++ {
-		_, ok := bt.Get(intKey(int64(i)))
-		if (i%2 == 0) == ok {
-			t.Fatalf("key %d presence = %v", i, ok)
-		}
-	}
-	var got []int64
-	bt.Ascend(nil, nil, func(k types.Row, v int64) bool {
-		got = append(got, v)
-		return true
-	})
-	if len(got) != 250 || !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Error("post-delete iteration broken")
-	}
-}
-
-func TestBTreeQuickMapEquivalence(t *testing.T) {
-	f := func(ops []int16) bool {
-		bt := NewBTree()
-		ref := map[int64]int64{}
-		for i, op := range ops {
-			k := int64(op % 64)
-			if i%3 == 2 {
-				delete(ref, k)
-				bt.Delete(intKey(k))
-			} else {
-				ref[k] = int64(i)
-				bt.Set(intKey(k), int64(i))
-			}
-		}
-		if bt.Len() != len(ref) {
-			return false
-		}
-		for k, v := range ref {
-			got, ok := bt.Get(intKey(k))
-			if !ok || got != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHashIndexBasic(t *testing.T) {
-	h := NewHashIndex()
-	k := types.Row{types.NewString("x")}
-	h.Add(k, 1)
-	h.Add(k, 2)
-	h.Add(types.Row{types.NewString("y")}, 3)
-	if h.Len() != 3 {
-		t.Fatalf("Len = %d", h.Len())
-	}
-	ids := h.Lookup(k)
-	if len(ids) != 2 {
-		t.Fatalf("Lookup = %v", ids)
-	}
-	if !h.Remove(k, 1) {
-		t.Fatal("Remove failed")
-	}
-	if h.Remove(k, 1) {
-		t.Fatal("double Remove succeeded")
-	}
-	if got := h.Lookup(k); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("post-remove Lookup = %v", got)
-	}
-	if got := h.Lookup(types.Row{types.NewString("zz")}); got != nil {
-		t.Fatalf("absent Lookup = %v", got)
-	}
-}
-
-func TestHashIndexConcurrent(t *testing.T) {
-	h := NewHashIndex()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				h.Add(intKey(int64(i%50)), int64(g*1000+i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if h.Len() != 8000 {
-		t.Fatalf("Len = %d", h.Len())
-	}
-	if got := h.Lookup(intKey(7)); len(got) != 8*20 {
-		t.Fatalf("Lookup(7) = %d ids", len(got))
 	}
 }

@@ -1,7 +1,6 @@
-// Package index provides the access paths the tutorial enumerates:
-// a concurrent lock-free-style skip list (the MemSQL row-store index
-// [26]), a B+-tree for ordered secondary indexes, and a hash index for
-// point lookups.
+// Package index provides the delta row store's primary-key index: a
+// concurrent lock-free-style skip list (the MemSQL row-store index
+// [26]).
 package index
 
 import (

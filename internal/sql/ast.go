@@ -87,17 +87,7 @@ type MergeStmt struct{ Table string }
 // estimates) as rows instead of executing it.
 type ExplainStmt struct{ Query *SelectStmt }
 
-// CreateIndexStmt is CREATE [HASH] INDEX name ON table (cols).
-type CreateIndexStmt struct {
-	Name  string
-	Table string
-	Cols  []string
-	// Hash selects a hash index; default is an ordered B+-tree.
-	Hash bool
-}
-
 func (*CreateTableStmt) stmt() {}
-func (*CreateIndexStmt) stmt() {}
 func (*InsertStmt) stmt()      {}
 func (*SelectStmt) stmt()      {}
 func (*UpdateStmt) stmt()      {}

@@ -42,7 +42,7 @@ var keywords = map[string]bool{
 	"ON": true, "TRUE": true, "FALSE": true, "COUNT": true, "SUM": true,
 	"MIN": true, "MAX": true, "AVG": true, "DISTINCT": true, "HAVING": true,
 	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "MERGE": true,
-	"INDEX": true, "HASH": true, "EXPLAIN": true,
+	"INDEX": true, "EXPLAIN": true,
 }
 
 // Lex tokenizes a SQL string.

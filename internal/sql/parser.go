@@ -8,11 +8,18 @@ import (
 	"repro/internal/types"
 )
 
+// maxExprDepth caps expression nesting (parentheses, NOT chains, unary
+// minus chains), so hostile SQL fails with an error instead of
+// overflowing the goroutine stack.
+const maxExprDepth = 1000
+
 // Parser is a recursive-descent parser over a token stream.
 type Parser struct {
 	toks    []Token
 	pos     int
 	nParams int
+	// depth is the current expression nesting, bounded by maxExprDepth.
+	depth int
 }
 
 // Parse parses one statement (a trailing semicolon is allowed).
@@ -113,12 +120,8 @@ func (p *Parser) ident() (string, error) {
 
 func (p *Parser) parseCreate() (Stmt, error) {
 	p.pos++ // CREATE
-	hash := p.accept(TokKeyword, "HASH")
 	if p.accept(TokKeyword, "INDEX") {
-		return p.parseCreateIndex(hash)
-	}
-	if hash {
-		return nil, fmt.Errorf("sql: expected INDEX after HASH")
+		return nil, fmt.Errorf("sql: CREATE INDEX is not supported")
 	}
 	if _, err := p.expect(TokKeyword, "TABLE"); err != nil {
 		return nil, err
@@ -168,38 +171,6 @@ func (p *Parser) parseCreate() (Stmt, error) {
 			}
 			st.Cols = append(st.Cols, types.Column{Name: cn, Type: ct})
 		}
-		if !p.accept(TokSymbol, ",") {
-			break
-		}
-	}
-	if _, err := p.expect(TokSymbol, ")"); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-func (p *Parser) parseCreateIndex(hash bool) (Stmt, error) {
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokKeyword, "ON"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokSymbol, "("); err != nil {
-		return nil, err
-	}
-	st := &CreateIndexStmt{Name: name, Table: table, Hash: hash}
-	for {
-		cn, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		st.Cols = append(st.Cols, cn)
 		if !p.accept(TokSymbol, ",") {
 			break
 		}
@@ -494,7 +465,25 @@ func (p *Parser) parseDelete() (Stmt, error) {
 //   unary   := - unary | primary
 //   primary := literal | agg | col | ( expr )
 
-func (p *Parser) parseExpr() (AstExpr, error) { return p.parseOr() }
+// descend enters one level of expression nesting; the caller defers
+// p.ascend once it succeeds.
+func (p *Parser) descend() error {
+	if p.depth >= maxExprDepth {
+		return fmt.Errorf("sql: expression nested deeper than %d", maxExprDepth)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *Parser) ascend() { p.depth-- }
+
+func (p *Parser) parseExpr() (AstExpr, error) {
+	if err := p.descend(); err != nil {
+		return nil, err
+	}
+	defer p.ascend()
+	return p.parseOr()
+}
 
 func (p *Parser) parseOr() (AstExpr, error) {
 	l, err := p.parseAnd()
@@ -528,6 +517,10 @@ func (p *Parser) parseAnd() (AstExpr, error) {
 
 func (p *Parser) parseNot() (AstExpr, error) {
 	if p.accept(TokKeyword, "NOT") {
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
+		defer p.ascend()
 		e, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -656,6 +649,10 @@ func (p *Parser) parseMul() (AstExpr, error) {
 
 func (p *Parser) parseUnary() (AstExpr, error) {
 	if p.accept(TokSymbol, "-") {
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
+		defer p.ascend()
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err

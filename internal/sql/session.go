@@ -138,11 +138,6 @@ func execDDL(e *core.Engine, st Stmt) (res *Result, handled bool, err error) {
 			return nil, true, err
 		}
 		return &Result{}, true, nil
-	case *CreateIndexStmt:
-		if err := e.CreateIndex(v.Table, v.Name, v.Cols, !v.Hash); err != nil {
-			return nil, true, err
-		}
-		return &Result{}, true, nil
 	}
 	return nil, false, nil
 }
