@@ -485,8 +485,10 @@ func e6Segment() *colstore.Segment {
 }
 
 // ---------------------------------------------------------------------
-// E10 — Vectorized beats tuple-at-a-time execution; specialized kernels
-// beat interpretation. (Tutorial §3/§4: [28,41,42].)
+// E10 — Vectorized beats tuple-at-a-time execution: an interpreted
+// filter plus a typed SUM over batch sizes from 1 (volcano) to 8192.
+// (Tutorial §3/§4: [28,41].) The specialized typed filter kernels live
+// in the column store's scan and are measured by E17.
 // ---------------------------------------------------------------------
 
 func e10Rows() []types.Row {
@@ -509,29 +511,18 @@ func BenchmarkE10_Execution(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			src := exec.NewSourceFromRows(schema, rows, batchSize)
+			agg := exec.NewHashAggregate(exec.NewFilter(src, pred), nil, nil,
+				[]exec.AggSpec{{Func: exec.AggSum, Col: 0}})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				src.Reset()
-				f := exec.NewFilter(src, pred)
-				if _, _, err := exec.SumInt64(f, 0); err != nil {
+				agg.Reset()
+				if _, err := exec.Collect(agg); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(len(rows))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
 		})
 	}
-	b.Run("kernel/batch=8192", func(b *testing.B) {
-		src := exec.NewSourceFromRows(schema, rows, 8192)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			src.Reset()
-			f := exec.NewVectorFilterInt(src, 0, exec.OpLt, 250_000)
-			if _, _, err := exec.SumInt64(f, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(rows))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
-	})
 }
 
 // ---------------------------------------------------------------------
@@ -833,11 +824,11 @@ func BenchmarkE14_ParallelPipeline(b *testing.B) {
 			}
 			defer ts.Close()
 			agg := exec.NewHashAggregate(exec.MarkPipeline(ts, workers),
-				[]exec.Expr{&exec.ColRef{Idx: 0, Name: "grp"}}, nil,
+				[]int{0}, nil,
 				[]exec.AggSpec{
 					{Func: exec.AggCountStar, Name: "n"},
-					{Func: exec.AggSum, Arg: &exec.ColRef{Idx: 1}, Name: "sv"},
-					{Func: exec.AggMin, Arg: &exec.ColRef{Idx: 1}, Name: "minv"},
+					{Func: exec.AggSum, Col: 1, Name: "sv"},
+					{Func: exec.AggMin, Col: 1, Name: "minv"},
 				})
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -516,7 +516,7 @@ func TestScanOperatorBridgesToExec(t *testing.T) {
 	}
 	agg := exec.NewHashAggregate(op, nil, nil, []exec.AggSpec{
 		{Func: exec.AggCountStar},
-		{Func: exec.AggSum, Arg: &exec.ColRef{Idx: 2}},
+		{Func: exec.AggSum, Col: 2},
 	})
 	rows, err := exec.Collect(agg)
 	if err != nil {

@@ -134,11 +134,13 @@ func TestScanOperatorUnderParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, n, err := exec.SumInt64(op, 0)
+		rows, err := exec.Collect(exec.NewHashAggregate(op, nil, nil, []exec.AggSpec{
+			{Func: exec.AggSum, Col: 0}, {Func: exec.AggCountStar},
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sum, n
+		return rows[0][0].I, int(rows[0][1].I)
 	}
 	s1, n1 := sumVia(1)
 	s4, n4 := sumVia(4)
@@ -162,7 +164,7 @@ func TestTypedAggregateOverParallelScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := exec.NewHashAggregate(op,
-		[]exec.Expr{&exec.ColRef{Idx: 0, Name: "v"}}, []string{"v"},
+		[]int{0}, []string{"v"},
 		[]exec.AggSpec{{Func: exec.AggCountStar, Name: "n"}})
 	rows, err := exec.Collect(agg)
 	if err != nil {

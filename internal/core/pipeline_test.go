@@ -137,12 +137,12 @@ func TestParallelPipelineParityMixed(t *testing.T) {
 		defer ts.Close()
 		in := exec.MarkPipeline(ts, par)
 		agg := exec.NewHashAggregate(in,
-			[]exec.Expr{&exec.ColRef{Idx: 0, Name: "grp"}}, nil,
+			[]int{0}, nil,
 			[]exec.AggSpec{
 				{Func: exec.AggCountStar, Name: "n"},
-				{Func: exec.AggSum, Arg: &exec.ColRef{Idx: 1}, Name: "sv"},
-				{Func: exec.AggMin, Arg: &exec.ColRef{Idx: 1}, Name: "minv"},
-				{Func: exec.AggMax, Arg: &exec.ColRef{Idx: 2}, Name: "maxf"},
+				{Func: exec.AggSum, Col: 1, Name: "sv"},
+				{Func: exec.AggMin, Col: 1, Name: "minv"},
+				{Func: exec.AggMax, Col: 2, Name: "maxf"},
 			})
 		return collectSorted(t, agg)
 	}
@@ -324,7 +324,7 @@ func TestPipelineCancelThroughAggregate(t *testing.T) {
 	defer ts.Close()
 	cancel() // cancelled before the drain: deterministic on any machine
 	agg := exec.NewHashAggregate(exec.MarkPipeline(ts, workers),
-		[]exec.Expr{&exec.ColRef{Idx: 0}}, nil,
+		[]int{0}, nil,
 		[]exec.AggSpec{{Func: exec.AggCountStar, Name: "n"}})
 	if _, err := agg.Next(); err != context.Canceled {
 		t.Fatalf("agg over cancelled pipeline: err = %v, want context.Canceled", err)

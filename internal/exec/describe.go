@@ -30,9 +30,6 @@ func describeInto(sb *strings.Builder, op Operator, depth int) {
 	case *Filter:
 		fmt.Fprintf(sb, "Filter(%s)\n", v.pred)
 		describeInto(sb, v.in, depth+1)
-	case *VectorFilterInt:
-		fmt.Fprintf(sb, "VectorFilterInt(col=%d %s %d)\n", v.col, binOpNames[v.op], v.val)
-		describeInto(sb, v.in, depth+1)
 	case *Projection:
 		fmt.Fprintf(sb, "Projection(cols=%d)\n", len(v.exprs))
 		describeInto(sb, v.in, depth+1)
@@ -49,7 +46,7 @@ func describeInto(sb *strings.Builder, op Operator, depth int) {
 		sb.WriteString("Distinct\n")
 		describeInto(sb, v.in, depth+1)
 	case *HashAggregate:
-		fmt.Fprintf(sb, "HashAggregate(groups=%d aggs=%d)\n", len(v.groups), len(v.aggs))
+		fmt.Fprintf(sb, "HashAggregate(groups=%d aggs=%d)\n", len(v.groupCols), len(v.aggs))
 		describeInto(sb, v.in, depth+1)
 	case *HashJoin:
 		kind := "inner"

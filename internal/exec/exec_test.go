@@ -191,13 +191,13 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 func TestHashAggregateGrouped(t *testing.T) {
 	src := NewSourceFromRows(testSchema(), testRows(99), 10)
 	agg := NewHashAggregate(src,
-		[]Expr{col(1, "cat")}, []string{"cat"},
+		[]int{1}, []string{"cat"},
 		[]AggSpec{
 			{Func: AggCountStar},
-			{Func: AggSum, Arg: col(0, "id")},
-			{Func: AggMin, Arg: col(0, "id")},
-			{Func: AggMax, Arg: col(0, "id")},
-			{Func: AggAvg, Arg: col(2, "price")},
+			{Func: AggSum, Col: 0},
+			{Func: AggMin, Col: 0},
+			{Func: AggMax, Col: 0},
+			{Func: AggAvg, Col: 2},
 		})
 	rows, err := Collect(agg)
 	if err != nil {
@@ -230,7 +230,7 @@ func TestHashAggregateGlobalEmptyInput(t *testing.T) {
 	src := NewSourceFromRows(testSchema(), nil, 8)
 	agg := NewHashAggregate(src, nil, nil, []AggSpec{
 		{Func: AggCountStar},
-		{Func: AggSum, Arg: col(0, "")},
+		{Func: AggSum, Col: 0},
 	})
 	rows, _ := Collect(agg)
 	if len(rows) != 1 {
@@ -250,10 +250,10 @@ func TestAggregateIgnoresNulls(t *testing.T) {
 		{types.NewInt(10)}, {types.NewNull(types.Int64)}, {types.NewInt(20)},
 	}, 8)
 	agg := NewHashAggregate(src, nil, nil, []AggSpec{
-		{Func: AggCount, Arg: col(0, "")},
+		{Func: AggCount, Col: 0},
 		{Func: AggCountStar},
-		{Func: AggSum, Arg: col(0, "")},
-		{Func: AggAvg, Arg: col(0, "")},
+		{Func: AggSum, Col: 0},
+		{Func: AggAvg, Col: 0},
 	})
 	rows, _ := Collect(agg)
 	r := rows[0]
@@ -305,7 +305,7 @@ func TestPipelineFilterAggSort(t *testing.T) {
 	// SELECT cat, COUNT(*) FROM t WHERE id < 60 GROUP BY cat ORDER BY cat
 	src := NewSourceFromRows(testSchema(), testRows(100), 13)
 	f := NewFilter(src, cmp(OpLt, col(0, ""), intLit(60)))
-	agg := NewHashAggregate(f, []Expr{col(1, "cat")}, []string{"cat"},
+	agg := NewHashAggregate(f, []int{1}, []string{"cat"},
 		[]AggSpec{{Func: AggCountStar}})
 	s := NewSort(agg, []SortKey{{E: col(0, "cat")}})
 	rows, err := Collect(s)
@@ -331,31 +331,33 @@ func TestResetReexecution(t *testing.T) {
 	}
 }
 
-func TestVectorFilterIntMatchesInterpreted(t *testing.T) {
+// Every comparison operator must select exactly the rows a row-by-row
+// evaluation of the same comparison selects.
+func TestFilterComparisonOps(t *testing.T) {
 	rows := testRows(1000)
 	for _, op := range []BinOpKind{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe} {
-		s1 := NewSourceFromRows(testSchema(), rows, 64)
-		k := NewVectorFilterInt(s1, 0, op, 500)
-		n1, _ := CollectCount(k)
-		s2 := NewSourceFromRows(testSchema(), rows, 64)
-		f := NewFilter(s2, cmp(op, col(0, ""), intLit(500)))
-		n2, _ := CollectCount(f)
-		if n1 != n2 {
-			t.Fatalf("op %v: kernel %d != interpreted %d", op, n1, n2)
+		want := 0
+		for _, r := range rows {
+			if c := types.Compare(r[0], types.NewInt(500)); (op == OpEq && c == 0) || (op == OpNe && c != 0) ||
+				(op == OpLt && c < 0) || (op == OpLe && c <= 0) || (op == OpGt && c > 0) || (op == OpGe && c >= 0) {
+				want++
+			}
+		}
+		src := NewSourceFromRows(testSchema(), rows, 64)
+		got, _ := CollectCount(NewFilter(src, cmp(op, col(0, ""), intLit(500))))
+		if got != want {
+			t.Fatalf("op %v: filter kept %d rows, want %d", op, got, want)
 		}
 	}
 }
 
 func TestVectorFilterChained(t *testing.T) {
-	// Chained kernels exercise the selection-vector path.
+	// Chained filters exercise the selection-vector path.
 	rows := testRows(1000)
 	src := NewSourceFromRows(testSchema(), rows, 128)
-	k1 := NewVectorFilterInt(src, 0, OpGe, 100)
-	k2 := NewVectorFilterInt(k1, 0, OpLt, 200)
-	sum, n, err := SumInt64(k2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k1 := NewFilter(src, cmp(OpGe, col(0, ""), intLit(100)))
+	k2 := NewFilter(k1, cmp(OpLt, col(0, ""), intLit(200)))
+	sum, n := sumCount(t, k2, 0)
 	if n != 100 {
 		t.Fatalf("n = %d", n)
 	}

@@ -95,32 +95,30 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []int, kind JoinKind)
 func (j *HashJoin) Schema() *types.Schema { return j.schema }
 
 // build drains the right side into the columnar store and indexes it:
-// every non-NULL-key row is chained under its key's table entry. When
-// the build side is a parallel Pipeline, the drain fans out: every
-// morsel worker materializes its batches into a private typed store
-// (scan, decode, filter, and projection all run on the worker) and the
-// per-worker stores are stitched into the one store the chained key
-// table indexes.
+// every non-NULL-key row is chained under its key's table entry. Each
+// drain worker bulk-appends its transient batches into a private store
+// (for a parallel Pipeline, scan, decode, filter, and projection all run
+// on the worker), and the stores are stitched into the one store the
+// chained key table indexes. Build row order — and so match order
+// within one probe row's chain — depends on zone dealing, as for any
+// unordered scan.
 func (j *HashJoin) build() error {
 	if j.store == nil {
 		j.store = types.NewBatch(j.right.Schema(), joinOutCap)
 	}
-	if p, ok := j.right.(*Pipeline); ok {
-		if err := j.buildDrainParallel(p); err != nil {
-			return err
+	stores := make([]*types.Batch, drainWidth(j.right))
+	stores[0] = j.store
+	err := drain(j.right, func(w int, b *types.Batch) error {
+		if stores[w] == nil {
+			stores[w] = types.NewBatch(j.right.Schema(), joinOutCap)
 		}
-	} else {
-		for {
-			b, err := j.right.Next()
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			j.store.AppendBatch(b)
-		}
+		stores[w].AppendBatch(b)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	j.store = stitchStores(stores)
 	n := j.store.PhysLen()
 	if j.table == nil {
 		j.table = newKeyTable(n)
@@ -147,50 +145,21 @@ func (j *HashJoin) build() error {
 	return nil
 }
 
-// buildDrainParallel materializes the build side through the pipeline's
-// morsel workers: each worker bulk-appends its transient batches into a
-// private store (the copy out of the pooled scan batches that the
-// serial path pays anyway), and the worker stores are stitched into
-// one (largest adopted, rest appended). Build row order — and so match
-// order within one probe row's chain — depends on zone dealing, as for
-// any unordered scan.
-func (j *HashJoin) buildDrainParallel(p *Pipeline) error {
-	stores := make([]*types.Batch, p.Workers())
-	err := p.ForEach(func(w int, b *types.Batch) error {
-		s := stores[w]
-		if s == nil {
-			s = types.NewBatch(j.right.Schema(), joinOutCap)
-			stores[w] = s
-		}
-		s.AppendBatch(b)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	j.store = stitchStores(j.store, stores)
-	return nil
-}
-
-// stitchStores concatenates per-worker stores into dst. When dst is
-// still empty the largest worker store is adopted as the base instead
-// of re-copied, so the stitch moves only the smaller remainder (the
-// bulk of the build side is written once, as in the serial drain).
-func stitchStores(dst *types.Batch, stores []*types.Batch) *types.Batch {
-	if dst.PhysLen() == 0 {
-		big := -1
-		for w, s := range stores {
-			if s != nil && (big < 0 || s.PhysLen() > stores[big].PhysLen()) {
-				big = w
-			}
-		}
-		if big >= 0 {
-			dst = stores[big]
-			stores[big] = nil
+// stitchStores concatenates per-worker stores (stores[0] non-nil; the
+// others nil for workers that saw no batch) into one. The largest
+// store is adopted as the base instead of re-copied, so the stitch
+// moves only the smaller remainder (the bulk of the input is written
+// once, as in a serial drain).
+func stitchStores(stores []*types.Batch) *types.Batch {
+	big := 0
+	for w, s := range stores {
+		if s != nil && s.PhysLen() > stores[big].PhysLen() {
+			big = w
 		}
 	}
-	for _, s := range stores {
-		if s != nil {
+	dst := stores[big]
+	for w, s := range stores {
+		if s != nil && w != big {
 			dst.AppendBatch(s)
 		}
 	}

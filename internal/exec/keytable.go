@@ -9,9 +9,8 @@ import (
 )
 
 // This file holds the shared multi-column typed key machinery behind the
-// columnar hash operators: HashJoin, Distinct, and (via intGroupTable,
-// its single-int ancestor in agg_typed.go) grouped aggregation. Keys are
-// hashed and compared over raw typed column vectors — no types.Row
+// columnar hash operators: HashJoin, Distinct, and HashAggregate. Keys
+// are hashed and compared over raw typed column vectors — no types.Row
 // boxing on the probe path — with an equality re-check on every hash hit
 // so collisions are handled exactly.
 
@@ -253,9 +252,8 @@ func cmpFloatKey(a, b float64) int {
 	}
 }
 
-// keyTable maps multi-column typed keys to dense entry ids: an
-// open-addressing (linear probing) generalization of intGroupTable.
-// The table stores only the 64-bit hash and a representative row id per
+// keyTable maps multi-column typed keys to dense entry ids with open
+// addressing (linear probing). The table stores only the 64-bit hash and a representative row id per
 // entry — key bytes stay in the caller's columnar store — so a hash hit
 // is confirmed by re-checking key equality against the representative
 // row (the eq callback). Slots store entry+1 so the zero value means

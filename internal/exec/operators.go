@@ -92,14 +92,14 @@ func (c *CallbackSource) Reset() { _, _ = c.gen(true) }
 // and batch header are reused across calls: a returned batch is valid
 // only until the next Next or Reset.
 type Filter struct {
-	in   Operator
-	pred Expr
-	sel  []int
-	out  types.Batch
+	in Operator
+	workerFilter
 }
 
 // NewFilter wraps in with a predicate.
-func NewFilter(in Operator, pred Expr) *Filter { return &Filter{in: in, pred: pred} }
+func NewFilter(in Operator, pred Expr) *Filter {
+	return &Filter{in: in, workerFilter: workerFilter{pred: pred}}
+}
 
 // Schema implements Operator.
 func (f *Filter) Schema() *types.Schema { return f.in.Schema() }
@@ -111,18 +111,9 @@ func (f *Filter) Next() (*types.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		sel := f.sel[:0]
-		for i := 0; i < b.Len(); i++ {
-			if v := f.pred.Eval(b, i); !v.Null && v.Bool() {
-				sel = append(sel, b.RowIdx(i))
-			}
+		if out, err := f.apply(b); err != nil || out != nil {
+			return out, err
 		}
-		f.sel = sel[:0]
-		if len(sel) == 0 {
-			continue
-		}
-		f.out = types.Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel}
-		return &f.out, nil
 	}
 }
 
@@ -133,10 +124,8 @@ func (f *Filter) Reset() { f.in.Reset() }
 // is reused across calls: a returned batch is valid only until the next
 // Next or Reset.
 type Projection struct {
-	in     Operator
-	exprs  []Expr
-	schema *types.Schema
-	out    *types.Batch
+	in Operator
+	workerProj
 }
 
 // NewProjection builds a projection; names label the output columns.
@@ -152,7 +141,7 @@ func NewProjection(in Operator, exprs []Expr, names []string) *Projection {
 		}
 		cols[i] = types.Column{Name: name, Type: e.Type(in.Schema())}
 	}
-	return &Projection{in: in, exprs: exprs, schema: &types.Schema{Cols: cols}}
+	return &Projection{in: in, workerProj: workerProj{exprs: exprs, schema: &types.Schema{Cols: cols}}}
 }
 
 // Schema implements Operator.
@@ -164,17 +153,7 @@ func (p *Projection) Next() (*types.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	if p.out == nil {
-		p.out = types.NewBatch(p.schema, b.Len())
-	} else {
-		p.out.Reset()
-	}
-	for i := 0; i < b.Len(); i++ {
-		for c, e := range p.exprs {
-			p.out.Cols[c].Append(e.Eval(b, i))
-		}
-	}
-	return p.out, nil
+	return p.apply(b)
 }
 
 // Reset implements Operator.

@@ -35,8 +35,8 @@ type ParallelSource interface {
 // stageSpec describes one pipeline stage compiled from a serial
 // operator; newWorkerStage instantiates the per-worker state (private
 // selection buffers, output batches) so workers never share mutable
-// state. The underlying Exprs are shared: expression evaluation is
-// read-only.
+// state. The serial Filter and Projection are their own specs: a
+// worker's stage copies only the read-only expression trees.
 type stageSpec interface {
 	newWorkerStage() workerStage
 }
@@ -48,17 +48,15 @@ type workerStage interface {
 	apply(b *types.Batch) (*types.Batch, error)
 }
 
-// filterSpec compiles a Filter: per-worker selection buffer + batch
-// header, same selection-vector semantics as Filter.Next.
-type filterSpec struct{ pred Expr }
-
+// workerFilter is the Filter stage body: it selects the rows whose
+// predicate is true into a reused selection buffer and batch header.
 type workerFilter struct {
 	pred Expr
 	sel  []int
 	out  types.Batch
 }
 
-func (f filterSpec) newWorkerStage() workerStage { return &workerFilter{pred: f.pred} }
+func (f *workerFilter) newWorkerStage() workerStage { return &workerFilter{pred: f.pred} }
 
 func (f *workerFilter) apply(b *types.Batch) (*types.Batch, error) {
 	sel := f.sel[:0]
@@ -75,28 +73,26 @@ func (f *workerFilter) apply(b *types.Batch) (*types.Batch, error) {
 	return &f.out, nil
 }
 
-// projSpec compiles a Projection: per-worker output batch, shared
-// expression trees.
-type projSpec struct {
+// workerProj is the Projection stage body: it evaluates the
+// expressions into a reused output batch.
+type workerProj struct {
 	exprs  []Expr
 	schema *types.Schema
+	out    *types.Batch
 }
 
-type workerProj struct {
-	spec projSpec
-	out  *types.Batch
+func (p *workerProj) newWorkerStage() workerStage {
+	return &workerProj{exprs: p.exprs, schema: p.schema}
 }
-
-func (p projSpec) newWorkerStage() workerStage { return &workerProj{spec: p} }
 
 func (p *workerProj) apply(b *types.Batch) (*types.Batch, error) {
 	if p.out == nil {
-		p.out = types.NewBatch(p.spec.schema, b.Len())
+		p.out = types.NewBatch(p.schema, b.Len())
 	} else {
 		p.out.Reset()
 	}
 	for i := 0; i < b.Len(); i++ {
-		for c, e := range p.spec.exprs {
+		for c, e := range p.exprs {
 			p.out.Cols[c].Append(e.Eval(b, i))
 		}
 	}
@@ -131,10 +127,10 @@ func MarkPipeline(op Operator, workers int) Operator {
 	for {
 		switch v := cur.(type) {
 		case *Filter:
-			topDown = append(topDown, filterSpec{pred: v.pred})
+			topDown = append(topDown, &v.workerFilter)
 			cur = v.in
 		case *Projection:
-			topDown = append(topDown, projSpec{exprs: v.exprs, schema: v.schema})
+			topDown = append(topDown, &v.workerProj)
 			cur = v.in
 		case ParallelSource:
 			if v.MaxWorkers() <= 1 {
@@ -209,4 +205,33 @@ func (p *Pipeline) ForEach(fn func(worker int, b *types.Batch) error) error {
 		}
 	}
 	return srcErr
+}
+
+// drainWidth reports how many worker ids drain(op, …) hands out, so
+// callers can size per-worker state before the drain runs.
+func drainWidth(op Operator) int {
+	if p, ok := op.(*Pipeline); ok {
+		return p.Workers()
+	}
+	return 1
+}
+
+// drain is the one input loop of every pipeline breaker: a *Pipeline
+// runs ForEach (fn called concurrently, one goroutine per worker id);
+// any other operator runs its Next loop with fn as worker 0. Batches
+// are valid only until fn returns. A non-nil error from fn stops the
+// drain and is returned.
+func drain(op Operator, fn func(worker int, b *types.Batch) error) error {
+	if p, ok := op.(*Pipeline); ok {
+		return p.ForEach(fn)
+	}
+	for {
+		b, err := op.Next()
+		if err != nil || b == nil {
+			return err
+		}
+		if err := fn(0, b); err != nil {
+			return err
+		}
+	}
 }

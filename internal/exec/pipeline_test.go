@@ -67,24 +67,29 @@ func (p *parSource) ScanWorkers(workers int, fn func(worker int, b *types.Batch)
 }
 
 // pipelineFixture builds a batch list over (k BIGINT, vi BIGINT,
-// vf DOUBLE) with NULL keys, NULL values, and selection vectors on some
-// batches — the shapes the parallel drain must preserve.
+// vf DOUBLE, ks VARCHAR) with NULL keys, NULL values, and selection
+// vectors on some batches — the shapes the parallel drain must
+// preserve. ks is k rendered as a string (NULL where k is NULL).
 func pipelineFixture(t *testing.T, rng *rand.Rand, nBatches, batchRows, keyCard int) (*types.Schema, []*types.Batch) {
 	t.Helper()
 	schema := types.MustSchema([]types.Column{
 		{Name: "k", Type: types.Int64},
 		{Name: "vi", Type: types.Int64},
 		{Name: "vf", Type: types.Float64},
+		{Name: "ks", Type: types.String},
 	})
 	var batches []*types.Batch
 	for bi := 0; bi < nBatches; bi++ {
 		b := types.NewBatch(schema, batchRows)
 		for r := 0; r < batchRows; r++ {
-			row := make(types.Row, 3)
+			row := make(types.Row, 4)
 			if rng.Intn(10) == 0 {
 				row[0] = types.NewNull(types.Int64)
+				row[3] = types.NewNull(types.String)
 			} else {
-				row[0] = types.NewInt(int64(rng.Intn(keyCard)))
+				k := rng.Intn(keyCard)
+				row[0] = types.NewInt(int64(k))
+				row[3] = types.NewString(fmt.Sprintf("key-%d", k))
 			}
 			if rng.Intn(13) == 0 {
 				row[1] = types.NewNull(types.Int64)
@@ -169,7 +174,7 @@ func TestMarkPipelineShapes(t *testing.T) {
 	if len(p.stages) != 2 {
 		t.Fatalf("stages = %d, want 2", len(p.stages))
 	}
-	if _, isFilter := p.stages[0].(filterSpec); !isFilter {
+	if _, isFilter := p.stages[0].(*workerFilter); !isFilter {
 		t.Fatal("stages must be bottom-up: filter first")
 	}
 
@@ -214,42 +219,44 @@ func TestPipelineSerialFallback(t *testing.T) {
 func aggSpecsForParity() []AggSpec {
 	return []AggSpec{
 		{Func: AggCountStar, Name: "n"},
-		{Func: AggCount, Arg: &ColRef{Idx: 1}, Name: "cnt_vi"},
-		{Func: AggSum, Arg: &ColRef{Idx: 1}, Name: "sum_vi"},
-		{Func: AggMin, Arg: &ColRef{Idx: 1}, Name: "min_vi"},
-		{Func: AggMax, Arg: &ColRef{Idx: 1}, Name: "max_vi"},
-		{Func: AggSum, Arg: &ColRef{Idx: 2}, Name: "sum_vf"},
-		{Func: AggAvg, Arg: &ColRef{Idx: 2}, Name: "avg_vf"},
-		{Func: AggMin, Arg: &ColRef{Idx: 2}, Name: "min_vf"},
+		{Func: AggCount, Col: 1, Name: "cnt_vi"},
+		{Func: AggSum, Col: 1, Name: "sum_vi"},
+		{Func: AggMin, Col: 1, Name: "min_vi"},
+		{Func: AggMax, Col: 1, Name: "max_vi"},
+		{Func: AggSum, Col: 2, Name: "sum_vf"},
+		{Func: AggAvg, Col: 2, Name: "avg_vf"},
+		{Func: AggMin, Col: 2, Name: "min_vf"},
+		{Func: AggMin, Col: 3, Name: "min_ks"},
+		{Func: AggMax, Col: 3, Name: "max_ks"},
 	}
 }
 
 // TestParallelGroupedAggParity: the worker-partial + merge drain must
 // produce the serial drain's groups and aggregates under NULL keys,
-// NULL argument values, and selection-vector inputs.
+// NULL argument values, and selection-vector inputs, for an int key, a
+// string key and a two-column key — and for a key (vi) whose groups
+// hold many ks values, so the workers' partial string minima differ.
 func TestParallelGroupedAggParity(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		schema, batches := pipelineFixture(t, rng, 8+rng.Intn(8), 256, 1+rng.Intn(40))
-		groups := []Expr{&ColRef{Idx: 0, Name: "k"}}
-
-		serialAgg := NewHashAggregate(NewSource(schema, batches), groups, nil, aggSpecsForParity())
-		want, err := Collect(serialAgg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 7} {
-			src := &parSource{schema: schema, batches: batches, max: workers}
-			in := MarkPipeline(src, workers)
-			if _, ok := in.(*Pipeline); !ok {
-				t.Fatal("bare ParallelSource must mark")
-			}
-			par := NewHashAggregate(in, groups, nil, aggSpecsForParity())
-			got, err := Collect(par)
+		for _, groups := range [][]int{{0}, {3}, {0, 3}, {1}} {
+			want, err := Collect(NewHashAggregate(NewSource(schema, batches), groups, nil, aggSpecsForParity()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rowSetsEqual(t, fmt.Sprintf("grouped agg seed=%d workers=%d", seed, workers), want, got)
+			for _, workers := range []int{2, 4, 7} {
+				src := &parSource{schema: schema, batches: batches, max: workers}
+				in := MarkPipeline(src, workers)
+				if _, ok := in.(*Pipeline); !ok {
+					t.Fatal("bare ParallelSource must mark")
+				}
+				got, err := Collect(NewHashAggregate(in, groups, nil, aggSpecsForParity()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rowSetsEqual(t, fmt.Sprintf("grouped agg seed=%d groups=%v workers=%d", seed, groups, workers), want, got)
+			}
 		}
 	}
 }
@@ -367,31 +374,30 @@ func TestParallelSortParity(t *testing.T) {
 
 // TestPipelineWorkerStageAllocs pins the per-morsel contract: once a
 // worker's stage chain and aggregation accumulator are warm, processing
-// a batch allocates nothing.
+// a batch allocates nothing — for an int, a string and a two-column key.
 func TestPipelineWorkerStageAllocs(t *testing.T) {
 	schema, batches := pipelineFixture(t, rand.New(rand.NewSource(3)), 1, 1024, 16)
 	b := batches[0]
 	pred := &BinOp{Kind: OpGe, L: &ColRef{Idx: 1}, R: &Const{Val: types.NewInt(-1000)}}
 
-	wf := filterSpec{pred: pred}.newWorkerStage()
-	plan, ok := compileTypedAggs(schema, []AggSpec{
-		{Func: AggCountStar}, {Func: AggSum, Arg: &ColRef{Idx: 1}},
-		{Func: AggMin, Arg: &ColRef{Idx: 2}},
-	})
-	if !ok {
-		t.Fatal("typed plan must compile")
-	}
-	acc := newTypedGroupAcc(len(plan))
-	process := func() {
-		fb, err := wf.apply(b)
-		if err != nil {
-			t.Fatal(err)
+	for _, groups := range [][]int{{0}, {3}, {0, 3}} {
+		wf := (&workerFilter{pred: pred}).newWorkerStage()
+		h := NewHashAggregate(NewSource(schema, nil), groups, nil, []AggSpec{
+			{Func: AggCountStar}, {Func: AggSum, Col: 1},
+			{Func: AggMin, Col: 2}, {Func: AggMax, Col: 3},
+		})
+		acc := h.newAcc()
+		process := func() {
+			fb, err := wf.apply(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc.consume(fb)
 		}
-		acc.consume(fb, 0, plan)
-	}
-	process() // warm: table growth, gid buffer, selection buffer
-	process()
-	if allocs := testing.AllocsPerRun(50, process); allocs > 0 {
-		t.Fatalf("per-morsel path allocates %.1f/op, want 0", allocs)
+		process() // warm: table growth, gid buffer, selection buffer
+		process()
+		if allocs := testing.AllocsPerRun(50, process); allocs > 0 {
+			t.Fatalf("groups %v: per-morsel path allocates %.1f/op, want 0", groups, allocs)
+		}
 	}
 }

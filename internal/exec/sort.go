@@ -67,62 +67,36 @@ func (s *Sort) Next() (*types.Batch, error) {
 	return s.out, nil
 }
 
+// drainAndSort materializes the input into per-worker stores stitched
+// into one (see stitchStores), then sorts the permutation with one run
+// per drain worker. The row order feeding the sort is unordered for a
+// parallel drain, as for any parallel scan; the sort itself orders the
+// output, with ties broken by stitched position.
 func (s *Sort) drainAndSort() error {
 	if s.store == nil {
 		s.store = types.NewBatch(s.in.Schema(), sortOutCap)
 	}
-	workers := 1
-	if p, ok := s.in.(*Pipeline); ok {
-		workers = p.Workers()
-		if err := s.drainParallel(p); err != nil {
-			return err
+	workers := drainWidth(s.in)
+	stores := make([]*types.Batch, workers)
+	stores[0] = s.store
+	err := drain(s.in, func(w int, b *types.Batch) error {
+		if stores[w] == nil {
+			stores[w] = types.NewBatch(s.in.Schema(), sortOutCap)
 		}
-	} else {
-		for {
-			b, err := s.in.Next()
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			s.store.AppendBatch(b)
-		}
+		stores[w].AppendBatch(b)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	s.store = stitchStores(stores)
 	n := s.store.PhysLen()
 	keyVecs := materializeSortKeys(s.store, s.in.Schema(), s.keys)
 	s.perm = grow(s.perm, n)
 	for i := range s.perm {
 		s.perm[i] = int32(i)
 	}
-	if workers > 1 {
-		sortPermutationParallel(s.perm, keyVecs, s.keys, workers)
-	} else {
-		sortPermutation(s.perm, keyVecs, s.keys)
-	}
-	return nil
-}
-
-// drainParallel materializes the input through the pipeline's morsel
-// workers into per-worker stores stitched into one (largest adopted,
-// rest appended — see stitchStores). The row order feeding the
-// permutation sort is then unordered, as for any parallel scan; the
-// sort itself orders the output, with ties broken by stitched position.
-func (s *Sort) drainParallel(p *Pipeline) error {
-	stores := make([]*types.Batch, p.Workers())
-	err := p.ForEach(func(w int, b *types.Batch) error {
-		st := stores[w]
-		if st == nil {
-			st = types.NewBatch(s.in.Schema(), sortOutCap)
-			stores[w] = st
-		}
-		st.AppendBatch(b)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	s.store = stitchStores(s.store, stores)
+	sortPermutationParallel(s.perm, keyVecs, s.keys, workers)
 	return nil
 }
 

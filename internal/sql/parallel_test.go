@@ -189,3 +189,63 @@ func TestParallelPreparedRebind(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelComputedGroupKey: a computed key and a computed argument
+// (projected below the aggregate onto the morsel workers) give the
+// same groups, sums and column names serially and 4-way, with NULLs in
+// the argument.
+func TestParallelComputedGroupKey(t *testing.T) {
+	const rows = 8_000
+	// id%5 == 0 has a NULL f; f*2 = id/2 sums exactly in any order.
+	var want [3]float64
+	var cnt [3]int64
+	for id := 0; id < rows; id++ {
+		if id%5 != 0 {
+			want[id%3] += float64(id) / 2
+			cnt[id%3]++
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		s := newSessionParallel(t, workers)
+		mustExec(t, s, `CREATE TABLE t (id BIGINT, f DOUBLE, PRIMARY KEY (id))`)
+		var b strings.Builder
+		for id := 0; id < rows; id++ {
+			if b.Len() == 0 {
+				b.WriteString("INSERT INTO t VALUES ")
+			} else {
+				b.WriteString(", ")
+			}
+			if id%5 == 0 {
+				fmt.Fprintf(&b, "(%d, NULL)", id)
+			} else {
+				fmt.Fprintf(&b, "(%d, %g)", id, float64(id)/4)
+			}
+			if (id+1)%500 == 0 {
+				mustExec(t, s, b.String())
+				b.Reset()
+			}
+			if id == rows*3/4 {
+				if _, err := s.engine.Merge("t"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		r := mustExec(t, s, `SELECT id % 3, SUM(f * 2), COUNT(f * 2) FROM t GROUP BY id % 3`)
+		var names []string
+		for _, c := range r.Schema.Cols {
+			names = append(names, c.Name+":"+c.Type.String())
+		}
+		if got := strings.Join(names, " "); got != "(.id%lit:3):BIGINT agg:sum((.f*lit:2)):DOUBLE agg:count((.f*lit:2)):BIGINT" {
+			t.Fatalf("workers=%d: columns %s", workers, got)
+		}
+		if len(r.Rows) != 3 {
+			t.Fatalf("workers=%d: %d groups, want 3", workers, len(r.Rows))
+		}
+		for _, row := range r.Rows {
+			k := row[0].I
+			if row[1].F != want[k] || row[2].I != cnt[k] {
+				t.Fatalf("workers=%d: group %d = %v, want SUM %g COUNT %d", workers, k, row, want[k], cnt[k])
+			}
+		}
+	}
+}

@@ -711,8 +711,10 @@ func collectAggs(items []SelectItem, having AstExpr, order []OrderItem) []*AggEx
 // planAggregate lowers GROUP BY + aggregates, then HAVING/ORDER/LIMIT
 // and the final projection against the post-aggregation scope.
 func planAggregate(op exec.Operator, sc *scope, st *SelectStmt, items []SelectItem, aggs []*AggExpr) (exec.Operator, error) {
-	groupExprs := make([]exec.Expr, len(st.GroupBy))
-	for i, g := range st.GroupBy {
+	// The aggregate reads column references only: keys first, then
+	// aggregate arguments (COUNT(*) has none).
+	cols := make([]exec.Expr, 0, len(st.GroupBy)+len(aggs))
+	for _, g := range st.GroupBy {
 		// Group-key and aggregate output types are fixed at plan time;
 		// an unbound `?` has none (see expandStars).
 		if containsParam(g) {
@@ -722,7 +724,7 @@ func planAggregate(op exec.Operator, sc *scope, st *SelectStmt, items []SelectIt
 		if err != nil {
 			return nil, err
 		}
-		groupExprs[i] = ge
+		cols = append(cols, ge)
 	}
 	specs := make([]exec.AggSpec, len(aggs))
 	for i, a := range aggs {
@@ -751,14 +753,42 @@ func planAggregate(op exec.Operator, sc *scope, st *SelectStmt, items []SelectIt
 			if err != nil {
 				return nil, err
 			}
-			spec.Arg = ae
+			if (spec.Func == exec.AggSum || spec.Func == exec.AggAvg) && ae.Type(op.Schema()) == types.String {
+				return nil, fmt.Errorf("sql: %s requires a numeric argument", a.Func)
+			}
+			spec.Col = len(cols)
+			cols = append(cols, ae)
 		}
 		specs[i] = spec
+	}
+	// Bare column references are read in place. If anything is computed,
+	// every key and argument goes into one Projection below the
+	// aggregate, which the morsel workers run.
+	at := make([]int, len(cols))
+	for i, e := range cols {
+		cr, ok := e.(*exec.ColRef)
+		if !ok {
+			op = exec.NewProjection(op, cols, nil)
+			for i := range at {
+				at[i] = i
+			}
+			break
+		}
+		at[i] = cr.Idx
+	}
+	for i := range specs {
+		if specs[i].Func != exec.AggCountStar {
+			specs[i].Col = at[specs[i].Col]
+		}
+	}
+	groupNames := make([]string, len(st.GroupBy))
+	for i := range groupNames {
+		groupNames[i] = cols[i].String()
 	}
 	// Aggregation is a pipeline breaker: mark the chain below it so the
 	// morsel workers run filter → projection → partial aggregation
 	// thread-locally, merged at this operator.
-	agg := exec.NewHashAggregate(exec.MarkPipeline(op, sc.pc.engine.Parallelism()), groupExprs, nil, specs)
+	agg := exec.NewHashAggregate(exec.MarkPipeline(op, sc.pc.engine.Parallelism()), at[:len(st.GroupBy)], groupNames, specs)
 
 	// Post-aggregation scope: group keys (matched structurally by their
 	// scope-resolved rendering) then aggregates.

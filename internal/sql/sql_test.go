@@ -448,3 +448,21 @@ func TestTypeString(t *testing.T) {
 		t.Fatalf("bool query = %v", r.Rows)
 	}
 }
+
+// SUM and AVG of a string have no meaning: the planner rejects them
+// instead of returning junk. COUNT, MIN and MAX of a string stay legal.
+func TestSumAvgRejectVarchar(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, `CREATE TABLE t (id BIGINT, s VARCHAR, PRIMARY KEY (id))`)
+	mustExec(t, s, `INSERT INTO t VALUES (1, 'b'), (2, 'a'), (3, 'c')`)
+	for _, f := range []string{"SUM", "AVG"} {
+		_, err := s.Exec(`SELECT ` + f + `(s) FROM t`)
+		if err == nil || !strings.Contains(err.Error(), f+" requires a numeric argument") {
+			t.Errorf("%s(varchar): err = %v, want %q", f, err, f+" requires a numeric argument")
+		}
+	}
+	r := mustExec(t, s, `SELECT COUNT(s), MIN(s), MAX(s) FROM t`)
+	if len(r.Rows) != 1 || r.Rows[0][0].I != 3 || r.Rows[0][1].S != "a" || r.Rows[0][2].S != "c" {
+		t.Fatalf("COUNT, MIN, MAX of varchar = %v, want [3 a c]", r.Rows)
+	}
+}
